@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -184,10 +185,8 @@ def _cmd_rates(args) -> None:
         raise ConfigError("rates needs a risk table CSV (--table or config 'table')")
     _need_out(args)
     rows = []
-    import csv as _csv
-
     with open(table_path, newline="") as fh:
-        for rec in _csv.DictReader(fh):
+        for rec in csv.DictReader(fh):
             rows.append(experiments.RiskRow(
                 rep=int(rec["rep"]), n=int(rec["n"]),
                 b_or_v2=float(rec["B_or_V2"]), estimator=rec["estimator"],

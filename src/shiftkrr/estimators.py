@@ -32,13 +32,19 @@ PROJECTION_RTOL = 1e-6
 
 _JITTERS = (0.0, 1e-12, 1e-8)
 
+#: relative tolerance on ||u|| - radius in ``ball_quadratic_min``
+_BALL_RTOL = 1e-13
+
+#: Newton steps allowed to ``ball_quadratic_min``
+_BALL_MAX_ITER = 100
+
 
 class FactorizationError(RuntimeError):
     """The regularized kernel system could not be solved accurately."""
 
 
 class ProjectionError(RuntimeError):
-    """The ridge-path bisection failed to meet the norm constraint."""
+    """The ball-constrained quadratic solve failed to meet the norm constraint."""
 
 
 @dataclass(frozen=True)
@@ -209,14 +215,65 @@ def fit_reweighted_krr(data: Dataset, kernel: EigenKernel, lam: float,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def ball_quadratic_min(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """Minimize u^T diag(a) u - 2 b^T u over the ball ||u|| <= radius, for a >= 0.
+
+    Returns the minimizer u = b / (a + xi) and its multiplier xi >= 0 with
+    xi (radius - ||u||) = 0.  When b vanishes on the null space of diag(a)
+    and the pseudo-inverse point fits in the ball, that point is optimal
+    with xi = 0 (the positive semidefinite form of the trust-region hard
+    case).  Otherwise xi > 0 is the root of the secular equation
+    1/||b/(a+xi)|| = 1/radius, found by Newton steps safeguarded by the
+    bracket [max(0, ||b||/r - max a, max_j |b_j|/r - a_j), ||b||/r - min a]
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).  A zero
+    radius gives (0, inf).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if radius == 0:
+        return np.zeros_like(b), math.inf
+    null = a == 0
+    if not np.any(b[null]):
+        u = np.zeros_like(b)
+        u[~null] = b[~null] / a[~null]
+        # the same tolerance as the root below; hypot neither under- nor overflows
+        if math.hypot(*u) <= radius * (1.0 + _BALL_RTOL):
+            return u, 0.0
+    # in units where ||b|| = radius = 1 no norm under- or overflows
+    b_norm = math.hypot(*b)
+    scale = b_norm / radius
+    a_s = a / scale
+    b_s = b / b_norm
+    lo = max(0.0, 1.0 - float(np.max(a_s)), float(np.max(np.abs(b_s) - a_s)))
+    hi = 1.0 - float(np.min(a_s))
+    xi = hi
+    for _ in range(_BALL_MAX_ITER):
+        w = b_s / (a_s + xi)
+        nrm = float(np.linalg.norm(w))
+        if abs(nrm - 1.0) <= _BALL_RTOL:
+            xi *= scale
+            return b / (a + xi), xi
+        if nrm > 1.0:
+            lo = xi
+        else:
+            hi = xi
+        # Newton step on 1/||w(xi)|| = 1; d||w||^2/dxi = -2 sum w^2/(a_s+xi)
+        xi += (nrm - 1.0) * nrm**2 / float(np.sum(w**2 / (a_s + xi)))
+        if not lo < xi < hi:
+            # bisect in log scale: the root can lie hundreds of decades below hi
+            xi = math.sqrt(lo) * math.sqrt(hi) if lo > 0 else 1e-3 * hi
+    raise ProjectionError("constraint projection failed")
+
+
 def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> FittedModel:
     """Empirical risk minimizer over the Hilbert ball of the given radius.
 
-    Returns the minimum-norm empirical risk minimizer when it is feasible
-    (computed as the lam -> 0+ ridge limit); otherwise bisects a ridge
-    multiplier xi until the fitted Hilbert norm matches the radius to
-    relative tolerance 1e-6, which is the exact solution of the
-    norm-constrained problem by Lagrange duality.
+    In the eigenbasis of the Gram matrix the problem is the ball-constrained
+    quadratic of ``ball_quadratic_min``, whose multiplier xi is the ridge
+    level of the solution.  A multiplier below a trace-relative floor is
+    raised to that floor, which returns the minimum-norm empirical risk
+    minimizer (the lam -> 0+ ridge limit) when it is feasible.  The fitted
+    Hilbert norm never exceeds the radius by more than relative 1e-6.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -229,39 +286,14 @@ def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> Fi
     s = np.clip(s, 0.0, None)
     ct = U.T @ c
     trace_K = float(np.sum(A * A))  # sum_i K(x_i, x_i)
-
-    def z_of(xi: float) -> np.ndarray:
-        return ct / (s + n * xi)
-
-    def norm_of(xi: float) -> float:
-        return float(np.linalg.norm(z_of(xi)))
-
     lam_min = max(1e-10 * trace_K / n, 1e-300)
-    xi_star = lam_min
-    if norm_of(lam_min) > radius:
-        lo, hi = 1e-12, max(1e6 * trace_K / n, 1.0)
-        iters = 0
-        while norm_of(hi) > radius:
-            hi *= 10.0
-            iters += 1
-            if iters > 200:
-                raise ProjectionError("constraint projection failed")
-        # ||z(xi)|| is continuous and nonincreasing, so log-bisection brackets it
-        while iters < 200:
-            mid = math.sqrt(lo * hi)
-            nm = norm_of(mid)
-            if abs(nm - radius) <= PROJECTION_RTOL * radius:
-                xi_star = mid
-                break
-            if nm > radius:
-                lo = mid
-            else:
-                hi = mid
-            iters += 1
-        else:
-            raise ProjectionError("constraint projection failed")
+    _, xi = ball_quadratic_min(s / n, ct / n, radius)
+    xi_star = max(xi, lam_min)
+    z = ct / (s + n * xi_star)
+    if not np.linalg.norm(z) <= radius * (1.0 + PROJECTION_RTOL):
+        raise ProjectionError("constraint projection failed")
     theta = np.zeros(kernel.rank)
-    theta[active] = np.sqrt(kernel.mu[active]) * (U @ z_of(xi_star))
+    theta[active] = np.sqrt(kernel.mu[active]) * (U @ z)
     return FittedModel(mode="primal", kernel=kernel, theta=theta, lam=xi_star)
 
 

@@ -6,12 +6,12 @@ governed by a one-dimensional separation objective
     g(t) = inf { q (theta - theta*)^T Cov (theta - theta*) - 2 v^T (theta - theta*)
                  : sum_j theta_j^2 / mu_j <= 1, theta_1 = t },
 
-with theta* = e_1 and mu_j = j^(-2).  This module computes g through its
-Lagrange dual (exact for this single-ball-constraint problem) with a
-projected-gradient verification pass, exposes the closed-form dual of the
-tail subproblem, the eta-sum statistics controlling the dual value, and a
-Monte Carlo driver that fits constrained ERM against KRR on sampled
-instances of the hard pair.
+with theta* = e_1 and mu_j = j^(-2).  In the coordinates that whiten the
+ellipsoid the tail minimization is the ball-constrained quadratic that the
+constrained ERM also solves, so g and the dual of the tail subproblem both
+come from ``estimators.ball_quadratic_min``.  The module also provides the
+eta-sum statistics controlling the dual value, and a Monte Carlo routine
+that fits constrained ERM against KRR on sampled instances of the hard pair.
 """
 
 from __future__ import annotations
@@ -23,16 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import fit_constrained_erm, fit_krr, hilbert_norm_sq, l2q_error
+from .estimators import (ball_quadratic_min, fit_constrained_erm, fit_krr, hilbert_norm_sq,
+                         l2q_error)
 from .seeding import derive_seed, rng_for
 from .shifts import Dataset, hypercube_hard_pair
 from .spectrum import EigenKernel, EigenSequence
-
-#: relative tolerance of the golden-section search over the dual variable
-_GOLDEN_RTOL = 1e-10
-
-#: default log-spaced bracket for the dual variable
-_XI_LO, _XI_HI = 1e-8, 1e8
 
 
 @dataclass(frozen=True)
@@ -81,39 +76,20 @@ class HardInstanceState:
         return cls(D=D, B=B, empirical_cov=x.T @ x / n, v=x.T @ w / n)
 
 
-def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > _GOLDEN_RTOL * (abs(a) + abs(b) + 1e-30):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
-
-
 def g_dual_tail(
     v_rest: np.ndarray,
     mu_rest: np.ndarray,
     slack: float,
     quad_coeff: float = 0.5,
-    xi_grid: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """Dual value of the tail subproblem and its maximizing multiplier.
 
     Computes max_{xi >= 0} { -xi * slack - sum_j v_j^2 / (quad_coeff + xi/mu_j) },
     the Lagrange dual of minimizing quad_coeff ||theta_R||^2 - 2 v_R^T theta_R
     over the ellipsoid sum_j theta_j^2 / mu_j <= slack.  Strong duality
-    holds whenever slack > 0.
+    holds, so the value is the primal minimum, and the maximizing xi is the
+    multiplier of the ball-constrained quadratic in u_j = theta_j / sqrt(mu_j).
+    A zero slack gives the value 0, approached as xi -> inf.
     """
     if slack < 0:
         raise ValueError("slack must be nonnegative")
@@ -123,26 +99,10 @@ def g_dual_tail(
     mu = np.asarray(mu_rest, dtype=float)
     if v.shape != mu.shape:
         raise ValueError("v_rest and mu_rest must have equal length")
-    live = mu > 0
-    v2 = v[live] ** 2
-    mu_live = mu[live]
-
-    def phi(xi: float) -> float:
-        return -xi * slack - float(np.sum(v2 / (quad_coeff + xi / mu_live)))
-
-    if xi_grid is None:
-        xi_grid = np.geomspace(_XI_LO, _XI_HI, 161)
-    cands = np.concatenate(([0.0], np.asarray(xi_grid, dtype=float)))
-    vals = np.array([phi(x) for x in cands])
-    k = int(np.argmax(vals))
-    if k == 0:
-        return float(vals[0]), 0.0
-    lo = cands[k - 1]
-    hi = cands[k + 1] if k + 1 < len(cands) else cands[k]
-    xi_star, val = _golden_max(phi, lo, hi)
-    if vals[k] > val:
-        xi_star, val = float(cands[k]), float(vals[k])
-    return float(val), float(xi_star)
+    a = quad_coeff * mu
+    b = np.sqrt(mu) * v
+    u, xi = ball_quadratic_min(a, b, math.sqrt(slack))
+    return float(np.sum(a * u**2) - 2.0 * np.sum(b * u)), float(xi)
 
 
 def g_primal(
@@ -156,11 +116,10 @@ def g_primal(
     The quadratic part of the objective is quad_coeff times the state's
     covariance form, so quad_coeff = 1 on a sampled covariance gives the
     empirical objective, while quad_coeff in {1/2, 3/2} on the population
-    state gives the sandwich surrogates.  The tail minimization is solved
-    through its dual (exact by strong duality for this strictly feasible
-    single-constraint problem when t < 1) and the returned value is
-    re-evaluated at a feasible point after ``grid_size`` steps of
-    projected-gradient refinement.
+    state gives the sandwich surrogates.  The tail minimization over the
+    ellipsoid is solved exactly as a ball-constrained quadratic in the
+    eigenbasis of the whitened covariance block.  ``grid_size`` has no
+    effect; it is accepted for compatibility with earlier callers.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -173,7 +132,6 @@ def g_primal(
     cov = state.empirical_cov
     v = state.v
     mu = state.mu
-    slack = 1.0 - t * t
     const = q * (t - 1.0) ** 2 * cov[0, 0] - 2.0 * v[0] * (t - 1.0)
     # tail problem min theta_R^T (q Cov_RR) theta_R - 2 b^T theta_R over the
     # ellipsoid; in u = M^(-1/2) theta_R coordinates the constraint is a ball
@@ -181,46 +139,11 @@ def g_primal(
     ms = np.sqrt(mu[1:])
     A = q * (cov[1:, 1:] * ms).T * ms
     A = (A + A.T) / 2.0
-    bu = ms * b
     a_eig, E = np.linalg.eigh(A)
     a_eig = np.clip(a_eig, 0.0, None)
-    bt = E.T @ bu
-    radius = math.sqrt(slack)
-
-    def value_at(u_t: np.ndarray) -> float:
-        return float(np.sum(a_eig * u_t**2) - 2.0 * np.sum(bt * u_t)) + const
-
-    # interior optimum, when the unconstrained minimizer exists and fits
-    tol = 1e-12 * max(float(a_eig[-1]), 1.0)
-    if np.all(a_eig > tol):
-        u_t = bt / a_eig
-        if np.linalg.norm(u_t) <= radius:
-            return value_at(u_t)
-
-    def phi(xi: float) -> float:
-        return -xi * slack - float(np.sum(bt**2 / (a_eig + xi)))
-
-    hi = max(float(a_eig[-1]), 1.0)
-    while np.sum(bt**2 / (a_eig + hi) ** 2) > slack:
-        hi *= 10.0
-    xi_star, _ = _golden_max(phi, 1e-14 * hi, hi)
-    u_t = bt / (a_eig + xi_star)
-    nrm = np.linalg.norm(u_t)
-    if nrm > radius:
-        u_t = u_t * (radius / nrm)
-    # projected-gradient polish of the feasible point
-    step = 1.0 / (2.0 * max(float(a_eig[-1]), tol))
-    best = value_at(u_t)
-    u_best = u_t
-    for _ in range(grid_size):
-        u_t = u_t - step * (2.0 * a_eig * u_t - 2.0 * bt)
-        nrm = np.linalg.norm(u_t)
-        if nrm > radius:
-            u_t = u_t * (radius / nrm)
-        val = value_at(u_t)
-        if val < best:
-            best, u_best = val, u_t
-    return best
+    bt = E.T @ (ms * b)
+    u_t, _ = ball_quadratic_min(a_eig, bt, math.sqrt(1.0 - t * t))
+    return float(np.sum(a_eig * u_t**2) - 2.0 * np.sum(bt * u_t)) + const
 
 
 def eta_sums(

@@ -398,11 +398,9 @@ def hermite_features(X: np.ndarray, m: int) -> np.ndarray:
     if m > 1:
         out[:, 1] = x
     for k in range(1, m - 1):
-        # He_{k+1} = x He_k - k He_{k-1}
-        out[:, k + 1] = x * out[:, k] - k * out[:, k - 1]
-    # normalize: ||He_k||^2 = k!
-    norms = np.sqrt([math.factorial(k) for k in range(m)])
-    return out / norms
+        # He_{k+1} = x He_k - k He_{k-1}, divided through by sqrt((k+1)!)
+        out[:, k + 1] = (x * out[:, k] - math.sqrt(k) * out[:, k - 1]) / math.sqrt(k + 1)
+    return out
 
 
 _FEATURE_FAMILIES = {
@@ -424,7 +422,9 @@ class EigenKernel:
         values.
     rank : int, optional
         Number of retained eigen-pairs.  Required when neither the
-        eigenvalue sequence nor the ambient dimension caps it.
+        eigenvalue sequence nor the ambient dimension caps it: a polynomial
+        sequence with Hermite or custom eigenfunctions raises ValueError
+        without one.
     kappa_sq : float, optional
         Declared bound on sup_x K(x, x).  Defaults to the eigenvalue trace,
         which is exact for sup-norm-1 families such as the hypercube one.
@@ -446,6 +446,8 @@ class EigenKernel:
                 raise ValueError(f"unknown eigenfunction family {features!r}")
             self.family = features
             self._features = _FEATURE_FAMILIES[features]
+        if rank is None and eigs.kind == "poly" and self.family != "hypercube":
+            raise ValueError(f"{self.family} features on a poly sequence need an explicit rank")
         seq_rank = eigs.j_max if eigs.kind == "poly" else len(eigs.values)
         self.rank = int(min(seq_rank, rank)) if rank is not None else int(seq_rank)
         if self.rank < 1:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shiftkrr.estimators import (
     FactorizationError,
+    ProjectionError,
     fit_constrained_erm,
     fit_krr,
     fit_reweighted_krr,
@@ -284,6 +285,25 @@ def test_weighted_fit_minimizes_its_objective_property(seed):
     perturb_rng = np.random.default_rng(seed + 1)
     for _ in range(5):
         assert base <= objective(model.theta + 1e-3 * perturb_rng.normal(size=3)) + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       radius=st.floats(min_value=0.05, max_value=2.0))
+def test_constrained_erm_active_ball_sits_on_boundary_property(seed, radius):
+    kernel, data, rng = random_instance(seed)
+    # a large signal puts the unconstrained fit far outside the ball
+    ys = data.xs @ rng.uniform(5.0, 10.0, size=kernel.rank) + rng.normal(0, 1, len(data))
+    model = fit_constrained_erm(Dataset(data.xs, ys), kernel, radius)
+    assert abs(math.sqrt(hilbert_norm_sq(model)) - radius) <= 1e-12 * radius
+
+
+def test_nan_responses_raise_projection_error_in_erm():
+    kernel, data, _ = random_instance(12)
+    ys = data.ys.copy()
+    ys[0] = np.nan
+    with pytest.raises(ProjectionError):
+        fit_constrained_erm(Dataset(data.xs, ys), kernel, radius=1.0)
 
 
 def test_fit_rejects_bad_inputs():

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shiftkrr.estimators import ball_quadratic_min
 from shiftkrr.hard_instance import (
     FailureRecord,
     HardInstanceState,
@@ -30,6 +33,59 @@ def projected_gradient_oracle(a_diag, b, radius, iters=30000):
         if val < best:
             best = val
     return best
+
+
+@st.composite
+def ball_problems(draw, min_zeros=0):
+    """(a, b) with a >= 0, some entries of a exactly zero, and b of mixed sign."""
+    d = draw(st.integers(min_value=max(1, min_zeros), max_value=8))
+    a = np.array(draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                               min_size=d, max_size=d)))
+    zeros = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    zeros[:min_zeros] = [True] * min_zeros
+    a[np.array(zeros)] = 0.0
+    # a subnormal b_j has no representable b_j / (a_j + xi) to compare against
+    b = np.array(draw(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_subnormal=False),
+                               min_size=d, max_size=d)))
+    return a, b
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem=ball_problems(), radius=st.floats(min_value=1e-3, max_value=5.0))
+def test_ball_quadratic_min_kkt_and_optimality_property(problem, radius):
+    a, b = problem
+    u, xi = ball_quadratic_min(a, b, radius)
+    nrm = float(np.linalg.norm(u))
+    assert xi >= 0.0
+    assert nrm <= radius * (1.0 + 1e-12)
+    assert xi * abs(radius - nrm) <= 1e-12 * xi * radius
+    assert np.all(np.abs((a + xi) * u - b) <= 1e-12 * np.abs(b))
+    value = float(np.sum(a * u * u) - 2.0 * np.sum(b * u))
+    assert value <= projected_gradient_oracle(a, b, radius, iters=2000) + 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem=ball_problems(min_zeros=1), stretch=st.floats(min_value=1.0, max_value=3.0))
+def test_ball_quadratic_min_hard_case_property(problem, stretch):
+    # b vanishes on the null space of diag(a) and the pseudo-inverse point fits
+    a, b = problem
+    b[a == 0] = 0.0
+    live = a > 0
+    pinv = np.zeros_like(b)
+    pinv[live] = b[live] / a[live]
+    radius = max(stretch * float(np.linalg.norm(pinv)), 1e-3)
+    u, xi = ball_quadratic_min(a, b, radius)
+    assert xi == 0.0
+    assert np.array_equal(u, pinv)
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=ball_problems())
+def test_ball_quadratic_min_zero_radius_property(problem):
+    a, b = problem
+    u, xi = ball_quadratic_min(a, b, 0.0)
+    assert xi == math.inf
+    assert np.all(u == 0.0)
 
 
 def test_g_primal_at_one_is_exact_zero():

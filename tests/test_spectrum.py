@@ -237,6 +237,23 @@ def test_hermite_features_orthonormal_under_gaussian():
     assert np.allclose(G, np.eye(5), atol=0.05)
 
 
+def test_hermite_features_orthonormal_to_rank_200():
+    # Gauss-Hermite quadrature with 220 nodes is exact for degree <= 439
+    nodes, weights = np.polynomial.hermite_e.hermegauss(220)
+    F = hermite_features(nodes, 200)
+    G = (F * (weights / math.sqrt(2.0 * math.pi))[:, None]).T @ F
+    assert np.max(np.abs(G - np.eye(200))) <= 1e-12
+
+
+def test_uncapped_feature_families_need_explicit_rank():
+    poly = EigenSequence.poly_decay(1.0)
+    for features in ("hermite", hermite_features):
+        with pytest.raises(ValueError, match="explicit rank"):
+            EigenKernel(poly, features)
+    assert EigenKernel(poly, "hermite", rank=8).rank == 8
+    assert EigenKernel(EigenSequence.finite_rank([1.0, 0.5]), "hermite").rank == 2
+
+
 def test_kernel_json_round_trip():
     kern = EigenKernel(EigenSequence.finite_rank([1.0, 0.5]), "hypercube", rank=2)
     back = EigenKernel.from_json(kern.to_json())
