@@ -17,6 +17,7 @@ from .estimators import (
     FactorizationError,
     FittedModel,
     ProjectionError,
+    RidgeCore,
     empirical_risk,
     fit_constrained_erm,
     fit_krr,

@@ -1,11 +1,17 @@
 """Kernel regression estimators: ridge, reweighted ridge, and norm-constrained.
 
-Every estimator is available in two equivalent modes:
+Every primal fit comes from one core.  ``RidgeCore`` reduces a dataset
+to its weighted ridge statistics in the kernel's eigen-coordinates,
+G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and eigendecomposes
+G once.  Ridge and reweighted ridge at any lam, and the norm-constrained
+ERM through the ball-constrained quadratic ``ball_quadratic_min``, are
+read off that one eigendecomposition, so fitting several estimators on
+one dataset forms one Gram matrix.
 
-* ``dual``   -- coefficients alpha over the training points, obtained from
-  the (possibly weighted) regularized kernel system;
-* ``primal`` -- coefficients theta over the kernel eigen-coordinates,
-  obtained from the equivalent ridge problem in feature space.
+Ridge and reweighted ridge also have a ``dual`` mode, with coefficients
+alpha over the training points from the regularized kernel system.  It
+is the kernel-trick path for kernels whose rank exceeds n, and an
+independent check on the core.
 
 Fitted models always carry their eigen-coordinates, so predictions,
 Hilbert norms, and exact L2(Q) errors are cheap regardless of mode.
@@ -90,129 +96,49 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray:
     raise FactorizationError(f"factorization failed: {last_err}")
 
 
-def _check_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> None:
+def _check_residual(res: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise unless the residual ``res`` of a solve is within tolerance of ``rhs``."""
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    res = float(np.linalg.norm(A @ x - rhs))
-    if not res <= STATIONARITY_RTOL * scale:  # NaN-safe comparison
+    res_norm = float(np.linalg.norm(res))
+    if not res_norm <= STATIONARITY_RTOL * scale:  # NaN-safe comparison
         raise FactorizationError(
-            f"factorization failed: stationarity residual {res:.3e} exceeds "
+            f"factorization failed: stationarity residual {res_norm:.3e} exceeds "
             f"{STATIONARITY_RTOL:.0e} * ||rhs||"
         )
 
 
-def _dual_to_theta(kernel: EigenKernel, support: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    F = kernel.feature_matrix(support)
-    return kernel.mu * (F.T @ alpha)
-
-
 def _fit_dual(data: Dataset, kernel: EigenKernel, lam: float,
               weights: Optional[np.ndarray]) -> FittedModel:
+    """Solve (W K + n lam I) alpha = W y through its symmetric form.
+
+    A zero weight forces alpha_i = 0, so only the rows with positive weight
+    enter: with S = W^(1/2) on those rows, (S K S + n lam I) beta = S y and
+    alpha = S beta.  The residual is checked on the unsymmetric system over
+    the kept rows; on the dropped rows it vanishes identically.
+    """
     n = len(data)
-    K = kernel.gram(data.xs)
+    w = np.ones(n) if weights is None else weights
+    keep = w > 0
+    xs, ys, w = data.xs[keep], data.ys[keep], w[keep]
+    s = np.sqrt(w)
+    K = kernel.gram(xs)
+    A = K * s[:, None]
+    A *= s
+    A[np.diag_indices_from(A)] += n * lam
     scale = float(np.linalg.norm(K, np.inf)) + n * lam
-    if weights is None:
-        A = K + n * lam * np.eye(n)
-        rhs = data.ys
-        alpha = _solve_spd(A, rhs, scale)
-    elif np.all(weights > 0):
-        # symmetric form: with S = W^(1/2), solve (S K S + n lam I) beta = S y
-        s = np.sqrt(weights)
-        A_sym = (K * s).T * s + n * lam * np.eye(n)
-        beta = _solve_spd(A_sym, s * data.ys, scale)
-        alpha = s * beta
-        A = weights[:, None] * K + n * lam * np.eye(n)
-        rhs = weights * data.ys
-    else:
-        # zero weights are legal truncated ratios; fall back to the
-        # unsymmetric system (W K + n lam I) alpha = W y
-        A = weights[:, None] * K + n * lam * np.eye(n)
-        rhs = weights * data.ys
-        try:
-            lu, piv = sla.lu_factor(A, check_finite=False)
-            alpha = sla.lu_solve((lu, piv), rhs, check_finite=False)
-            alpha = alpha + sla.lu_solve((lu, piv), rhs - A @ alpha, check_finite=False)
-        except np.linalg.LinAlgError as err:  # pragma: no cover - rare path
-            raise FactorizationError(f"factorization failed: {err}") from err
-    _check_residual(A, alpha, rhs)
+    alpha_kept = s * _solve_spd(A, s * ys, scale)
+    _check_residual(w * (K @ alpha_kept) + n * lam * alpha_kept - w * ys, w * ys)
+    alpha = np.zeros(n)
+    alpha[keep] = alpha_kept
     return FittedModel(
         mode="dual",
         kernel=kernel,
-        theta=_dual_to_theta(kernel, data.xs, alpha),
+        theta=kernel.mu * (kernel.feature_matrix(xs).T @ alpha_kept),
         lam=lam,
         alpha=alpha,
         support=data.xs,
         weights_used=weights,
     )
-
-
-def _design(data: Dataset, kernel: EigenKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Feature design A = Phi M^(1/2) restricted to nonzero eigenvalues."""
-    active = kernel.mu > 0
-    F = kernel.feature_matrix(data.xs)
-    return F[:, active] * np.sqrt(kernel.mu[active]), active
-
-
-def _fit_primal(data: Dataset, kernel: EigenKernel, lam: float,
-                weights: Optional[np.ndarray]) -> FittedModel:
-    n = len(data)
-    A, active = _design(data, kernel)
-    if weights is None:
-        G = A.T @ A
-        rhs = A.T @ data.ys
-    else:
-        Aw = A * weights[:, None]
-        G = Aw.T @ A
-        rhs = Aw.T @ data.ys
-    sys = G + n * lam * np.eye(G.shape[0])
-    z = _solve_spd(sys, rhs, float(np.linalg.norm(G, np.inf)) + n * lam)
-    _check_residual(sys, z, rhs)
-    theta = np.zeros(kernel.rank)
-    theta[active] = np.sqrt(kernel.mu[active]) * z
-    return FittedModel(
-        mode="primal",
-        kernel=kernel,
-        theta=theta,
-        lam=lam,
-        weights_used=weights,
-    )
-
-
-def fit_krr(data: Dataset, kernel: EigenKernel, lam: float, mode: str = "dual") -> FittedModel:
-    """Kernel ridge regression: minimize (1/n) sum (f(x_i)-y_i)^2 + lam ||f||_H^2.
-
-    Dual mode solves (K + n lam I) alpha = y; primal mode solves the
-    equivalent feature-space ridge problem.  Both satisfy their
-    stationarity system to relative residual 1e-8.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if len(data) < 1:
-        raise ValueError("need at least one observation")
-    if mode == "dual":
-        return _fit_dual(data, kernel, lam, None)
-    if mode == "primal":
-        return _fit_primal(data, kernel, lam, None)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def fit_reweighted_krr(data: Dataset, kernel: EigenKernel, lam: float,
-                       mode: str = "dual") -> FittedModel:
-    """Weighted KRR: minimize (1/n) sum w_i (f(x_i)-y_i)^2 + lam ||f||_H^2.
-
-    The weights live on the dataset; truncated likelihood ratios are the
-    intended use.  With unit weights this coincides with ``fit_krr``.
-    The dual stationarity system is (W K + n lam I) alpha = W y, which is
-    sufficient for optimality of the convex objective.
-    """
-    if data.weights is None:
-        raise ValueError("reweighted fit requires dataset weights")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if mode == "dual":
-        return _fit_dual(data, kernel, lam, data.weights)
-    if mode == "primal":
-        return _fit_primal(data, kernel, lam, data.weights)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def ball_quadratic_min(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
@@ -265,6 +191,111 @@ def ball_quadratic_min(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.
     raise ProjectionError("constraint projection failed")
 
 
+class RidgeCore:
+    """Ridge statistics of one dataset, shared by every primal fit on it.
+
+    Over the kernel's nonzero eigenvalues M, with raw features F and
+    weights W (unit by default), the dataset reduces to
+    G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and one
+    eigendecomposition G = U diag(s) U^T gives every ridge solution
+    z(xi) = U diag(1/(s + n xi)) U^T c, with theta = M^(1/2) z.  M^(1/2)
+    is applied after the product, so unweighted data make no n x D copy
+    of the features.
+    """
+
+    def __init__(self, data: Dataset, kernel: EigenKernel,
+                 weights: Optional[np.ndarray] = None):
+        self.kernel = kernel
+        self.n = len(data)
+        self.weights = weights
+        self.active = kernel.mu > 0
+        self.sqrt_mu = np.sqrt(kernel.mu[self.active])
+        F = kernel.feature_matrix(data.xs)
+        if not np.all(self.active):
+            F = F[:, self.active]
+        ys = data.ys
+        if weights is not None:
+            root_w = np.sqrt(weights)
+            F = F * root_w[:, None]
+            ys = root_w * ys
+        # scaling by an outer product keeps G as symmetric as F^T F
+        self.G = (F.T @ F) * np.outer(self.sqrt_mu, self.sqrt_mu)
+        self.c = self.sqrt_mu * (F.T @ ys)
+        try:
+            s, self.U = np.linalg.eigh(self.G)
+        except np.linalg.LinAlgError as err:
+            raise FactorizationError(f"factorization failed: {err}") from err
+        self.s = np.clip(s, 0.0, None)
+        self.ct = self.U.T @ self.c
+
+    def _model(self, z: np.ndarray, lam: float) -> FittedModel:
+        theta = np.zeros(self.kernel.rank)
+        theta[self.active] = self.sqrt_mu * z
+        return FittedModel(mode="primal", kernel=self.kernel, theta=theta, lam=lam,
+                           weights_used=self.weights)
+
+    def fit_ridge(self, lam: float) -> FittedModel:
+        """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c."""
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        nlam = self.n * lam
+        z = self.U @ (self.ct / (self.s + nlam))
+        _check_residual(self.G @ z + nlam * z - self.c, self.c)
+        return self._model(z, lam)
+
+    def fit_constrained(self, radius: float) -> FittedModel:
+        """Empirical risk minimizer over the Hilbert ball; see ``fit_constrained_erm``."""
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        n = self.n
+        trace_K = float(np.trace(self.G))  # sum_i w_i K(x_i, x_i)
+        lam_min = max(1e-10 * trace_K / n, 1e-300)
+        _, xi = ball_quadratic_min(self.s / n, self.ct / n, radius)
+        xi_star = max(xi, lam_min)
+        z = self.ct / (self.s + n * xi_star)
+        if not np.linalg.norm(z) <= radius * (1.0 + PROJECTION_RTOL):
+            raise ProjectionError("constraint projection failed")
+        return self._model(self.U @ z, xi_star)
+
+
+def fit_krr(data: Dataset, kernel: EigenKernel, lam: float, mode: str = "dual") -> FittedModel:
+    """Kernel ridge regression: minimize (1/n) sum (f(x_i)-y_i)^2 + lam ||f||_H^2.
+
+    Dual mode solves (K + n lam I) alpha = y; primal mode reads the
+    equivalent feature-space ridge solution off a ``RidgeCore``.  Both
+    satisfy their stationarity system to relative residual 1e-8.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if len(data) < 1:
+        raise ValueError("need at least one observation")
+    if mode == "dual":
+        return _fit_dual(data, kernel, lam, None)
+    if mode == "primal":
+        return RidgeCore(data, kernel).fit_ridge(lam)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def fit_reweighted_krr(data: Dataset, kernel: EigenKernel, lam: float,
+                       mode: str = "dual") -> FittedModel:
+    """Weighted KRR: minimize (1/n) sum w_i (f(x_i)-y_i)^2 + lam ||f||_H^2.
+
+    The weights live on the dataset; truncated likelihood ratios are the
+    intended use.  With unit weights this coincides with ``fit_krr``.
+    The dual stationarity system is (W K + n lam I) alpha = W y, which is
+    sufficient for optimality of the convex objective.
+    """
+    if data.weights is None:
+        raise ValueError("reweighted fit requires dataset weights")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if mode == "dual":
+        return _fit_dual(data, kernel, lam, data.weights)
+    if mode == "primal":
+        return RidgeCore(data, kernel, data.weights).fit_ridge(lam)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> FittedModel:
     """Empirical risk minimizer over the Hilbert ball of the given radius.
 
@@ -275,39 +306,21 @@ def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> Fi
     minimizer (the lam -> 0+ ridge limit) when it is feasible.  The fitted
     Hilbert norm never exceeds the radius by more than relative 1e-6.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    n = len(data)
-    A, active = _design(data, kernel)
-    # eigendecomposition of the ridge path: z(xi) = U diag(1/(s + n xi)) U^T c
-    S = A.T @ A
-    c = A.T @ data.ys
-    s, U = np.linalg.eigh(S)
-    s = np.clip(s, 0.0, None)
-    ct = U.T @ c
-    trace_K = float(np.sum(A * A))  # sum_i K(x_i, x_i)
-    lam_min = max(1e-10 * trace_K / n, 1e-300)
-    _, xi = ball_quadratic_min(s / n, ct / n, radius)
-    xi_star = max(xi, lam_min)
-    z = ct / (s + n * xi_star)
-    if not np.linalg.norm(z) <= radius * (1.0 + PROJECTION_RTOL):
-        raise ProjectionError("constraint projection failed")
-    theta = np.zeros(kernel.rank)
-    theta[active] = np.sqrt(kernel.mu[active]) * (U @ z)
-    return FittedModel(mode="primal", kernel=kernel, theta=theta, lam=xi_star)
+    return RidgeCore(data, kernel).fit_constrained(radius)
 
 
 def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the fitted function at covariates x.
 
-    Accepts an (m, d) batch or a single point; returns a scalar for a
-    single point.  One-dimensional input is interpreted by the kernel's
-    eigenfunction family (a single point for coordinate features, a batch
-    of scalar covariates for families on the real line).
+    An (m, d) batch gives an array of length m, also for m = 1.
+    One-dimensional input is interpreted by the kernel's eigenfunction
+    family (a single point for coordinate features, a batch of scalar
+    covariates for families on the real line), and a single value is
+    returned as a scalar.
     """
-    F = model.kernel.feature_matrix(np.asarray(x, dtype=float))
-    out = F @ model.theta
-    return float(out[0]) if out.size == 1 else out
+    x = np.asarray(x, dtype=float)
+    out = model.kernel.feature_matrix(x) @ model.theta
+    return float(out[0]) if x.ndim < 2 and out.size == 1 else out
 
 
 def hilbert_norm_sq(model: FittedModel) -> float:

@@ -284,7 +284,8 @@ def fit_rate_slope(
     """OLS slope of log(median risk) against log(n) within each group.
 
     Requires at least 3 distinct sample sizes per group; raises
-    ValueError("insufficient n grid") otherwise.
+    ValueError("insufficient n grid") otherwise, and ValueError when a
+    median risk is not positive, since its logarithm is undefined.
     """
     groups: dict[tuple, dict[int, list[float]]] = {}
     for r in rows:
@@ -298,6 +299,8 @@ def fit_rate_slope(
             raise ValueError("insufficient n grid")
         ns = np.array(sorted(by_n))
         med = np.array([np.median(by_n[n]) for n in ns])
+        if not np.all(med > 0):
+            raise ValueError(f"median risk must be positive for a log-log slope (group {key})")
         x = np.log(ns.astype(float))
         y = np.log(med)
         xc = x - x.mean()

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .estimators import (ball_quadratic_min, fit_constrained_erm, fit_krr, hilbert_norm_sq,
-                         l2q_error)
+from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error
 from .seeding import derive_seed, rng_for
 from .shifts import Dataset, hypercube_hard_pair
 from .spectrum import EigenKernel, EigenSequence
@@ -59,6 +59,18 @@ class HardInstanceState:
     @property
     def mu(self) -> np.ndarray:
         return np.arange(1, self.D + 1, dtype=float) ** -2.0
+
+    @cached_property
+    def whitened_tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenpairs (s, E) of M_R^(1/2) Cov_RR M_R^(1/2) over j >= 2, and M_R^(1/2).
+
+        The block does not depend on the slice t, so ``g_primal`` reuses
+        one eigendecomposition per state for every t and quad_coeff.
+        """
+        ms = np.sqrt(self.mu[1:])
+        A = (self.empirical_cov[1:, 1:] * ms).T * ms
+        s, E = np.linalg.eigh((A + A.T) / 2.0)
+        return s, E, ms
 
     @classmethod
     def population(cls, D: int, B: float, v: Optional[np.ndarray] = None) -> "HardInstanceState":
@@ -118,8 +130,9 @@ def g_primal(
     empirical objective, while quad_coeff in {1/2, 3/2} on the population
     state gives the sandwich surrogates.  The tail minimization over the
     ellipsoid is solved exactly as a ball-constrained quadratic in the
-    eigenbasis of the whitened covariance block.  ``grid_size`` has no
-    effect; it is accepted for compatibility with earlier callers.
+    eigenbasis of the whitened covariance block, which the state
+    decomposes once for all t.  ``grid_size`` has no effect; it is
+    accepted for compatibility with earlier callers.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -131,16 +144,12 @@ def g_primal(
     q = quad_coeff
     cov = state.empirical_cov
     v = state.v
-    mu = state.mu
     const = q * (t - 1.0) ** 2 * cov[0, 0] - 2.0 * v[0] * (t - 1.0)
     # tail problem min theta_R^T (q Cov_RR) theta_R - 2 b^T theta_R over the
     # ellipsoid; in u = M^(-1/2) theta_R coordinates the constraint is a ball
     b = v[1:] - q * (t - 1.0) * cov[1:, 0]
-    ms = np.sqrt(mu[1:])
-    A = q * (cov[1:, 1:] * ms).T * ms
-    A = (A + A.T) / 2.0
-    a_eig, E = np.linalg.eigh(A)
-    a_eig = np.clip(a_eig, 0.0, None)
+    s_tail, E, ms = state.whitened_tail
+    a_eig = np.clip(q * s_tail, 0.0, None)
     bt = E.T @ (ms * b)
     u_t, _ = ball_quadratic_min(a_eig, bt, math.sqrt(1.0 - t * t))
     return float(np.sum(a_eig * u_t**2) - 2.0 * np.sum(bt * u_t)) + const
@@ -201,9 +210,11 @@ def simulate_failure(
     Each replication draws n source points from the hard hypercube pair
     with f* = phi_1 and N(0, sigma^2) noise, fits (a) the empirical risk
     minimizer over the unit Hilbert ball and (b) KRR at
-    lambda = 4^(2/3) n^(-2/3) B^(-1/3), and records exact coordinate risks
-    and the KRR Hilbert norm.  The ambient dimension defaults to
-    min(n, 512); coordinates beyond 512 carry under 0.2% of the trace.
+    lambda = 4^(2/3) n^(-2/3) B^(-1/3), both from one ``RidgeCore`` (one
+    Gram matrix and one eigendecomposition per replication), and records
+    exact coordinate risks and the KRR Hilbert norm.  The ambient
+    dimension defaults to min(n, 512); coordinates beyond 512 carry under
+    0.2% of the trace.
     """
     if not 1.0 <= B <= n ** (2.0 / 3.0) + 1e-9:
         raise ValueError("B must lie in [1, n^(2/3)]")
@@ -222,9 +233,9 @@ def simulate_failure(
         rng = rng_for(derive_seed(seed, rep), 1)
         xs = pair.sample_source(n, rng)
         ys = xs[:, 0] + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
-        data = Dataset(xs, ys)
-        erm = fit_constrained_erm(data, kernel, radius=1.0)
-        krr = fit_krr(data, kernel, lam, mode="primal")
+        core = RidgeCore(Dataset(xs, ys), kernel)
+        erm = core.fit_constrained(1.0)
+        krr = core.fit_ridge(lam)
         out.append(
             FailureRecord(
                 rep=rep,

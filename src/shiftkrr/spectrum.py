@@ -453,9 +453,20 @@ class EigenKernel:
         if self.rank < 1:
             raise ValueError("kernel rank must be >= 1")
         self.mu = eigs.leading(self.rank)
-        self.kappa_sq = float(kappa_sq) if kappa_sq is not None else eigs.trace()
-        if self.kappa_sq <= 0:
+        # a poly trace is positive but builds the 10^6-element partial-sum
+        # caches, so it waits until kappa_sq is first read
+        if kappa_sq is not None:
+            self._kappa_sq = float(kappa_sq)
+        else:
+            self._kappa_sq = None if eigs.kind == "poly" else eigs.trace()
+        if self._kappa_sq is not None and not self._kappa_sq > 0:
             raise ValueError("kappa_sq must be positive")
+
+    @property
+    def kappa_sq(self) -> float:
+        if self._kappa_sq is None:
+            self._kappa_sq = self.eigs.trace()
+        return self._kappa_sq
 
     def feature_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._features(X, self.rank)

@@ -323,3 +323,16 @@ def test_nan_responses_raise_factorization_error():
     bad = Dataset(data.xs, np.full(len(data), np.nan))
     with pytest.raises(FactorizationError):
         fit_krr(bad, kernel, 0.1)
+
+
+def test_predict_returns_an_array_for_every_2d_batch():
+    kernel = EigenKernel(EigenSequence.finite_rank([1.0, 0.5]), "hypercube", rank=2)
+    from shiftkrr.estimators import FittedModel
+
+    model = FittedModel(mode="primal", kernel=kernel, theta=np.array([0.3, -0.2]), lam=0.1)
+    one = predict(model, np.array([[1.0, -1.0]]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == pytest.approx(0.5)
+    assert predict(model, np.array([[1.0, -1.0], [1.0, 1.0]])).shape == (2,)
+    # a single 1-D point still gives a scalar
+    assert isinstance(predict(model, np.array([1.0, -1.0])), float)

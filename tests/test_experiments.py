@@ -255,3 +255,9 @@ def test_figure2_skips_cells_beyond_validity():
     # B = 256 exceeds 400^(2/3) = 54.3, so the n = 400 curve ends earlier
     rows = figure2(n_list=[400], B_grid=[8.0, 256.0], reps=1, seed=2)
     assert [r[:2] for r in rows] == [[400, 8.0]]
+
+
+def test_fit_rate_slope_rejects_a_zero_median_risk():
+    rows = synthetic_rows(lambda n: 0.0 if n == 200 else n ** -1.0)
+    with pytest.raises(ValueError, match="median risk must be positive"):
+        fit_rate_slope(rows)

@@ -258,3 +258,20 @@ def test_state_validation():
     asym = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         HardInstanceState(D=2, B=2.0, empirical_cov=asym, v=np.zeros(2))
+
+
+def test_g_primal_eigendecomposes_once_per_state(monkeypatch):
+    state = HardInstanceState.from_sample(400, 4.0, 1.0, 12, seed=3)
+    expected = [g_primal(HardInstanceState.from_sample(400, 4.0, 1.0, 12, seed=3), t, q)
+                for t in (0.0, 0.4, 0.9) for q in (0.5, 1.0)]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    got = [g_primal(state, t, q) for t in (0.0, 0.4, 0.9) for q in (0.5, 1.0)]
+    assert len(calls) == 1
+    assert got == expected

@@ -258,3 +258,18 @@ def test_kernel_json_round_trip():
     kern = EigenKernel(EigenSequence.finite_rank([1.0, 0.5]), "hypercube", rank=2)
     back = EigenKernel.from_json(kern.to_json())
     assert back.to_json() == kern.to_json()
+
+
+def test_poly_kappa_sq_waits_until_read_and_equals_the_trace():
+    eigs = EigenSequence.poly_decay(1.0, 1.0)
+    kern = EigenKernel(eigs, "hypercube", rank=16)
+    assert eigs._mu_head is None  # no 10^6-element caches at construction
+    assert kern.kappa_sq == EigenSequence.poly_decay(1.0, 1.0).trace()
+    assert kern.to_json()["kappa_sq"] == kern.kappa_sq
+
+
+def test_kappa_sq_errors_stay_at_construction():
+    with pytest.raises(ValueError, match="kappa_sq must be positive"):
+        EigenKernel(EigenSequence.finite_rank([0.0, 0.0]), "hypercube", rank=2)
+    with pytest.raises(ValueError, match="kappa_sq must be positive"):
+        EigenKernel(EigenSequence.poly_decay(1.0), "hypercube", rank=4, kappa_sq=0.0)
