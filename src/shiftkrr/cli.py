@@ -105,7 +105,7 @@ def _cmd_fit(args) -> None:
     if cfg.get("weighted", False):
         model = fit_reweighted_krr(data, kernel, lam, mode=mode)
     else:
-        model = fit_krr(Dataset(data.xs, data.ys), kernel, lam, mode=mode)
+        model = fit_krr(data, kernel, lam, mode=mode)
     _write_json_doc(args.out, model.to_json())
 
 

@@ -36,8 +36,6 @@ STATIONARITY_RTOL = 1e-8
 #: relative tolerance for the norm constraint in the projected fit
 PROJECTION_RTOL = 1e-6
 
-_JITTERS = (0.0, 1e-12, 1e-8)
-
 #: relative tolerance on ||u|| - radius in ``ball_quadratic_min``
 _BALL_RTOL = 1e-13
 
@@ -66,8 +64,6 @@ class FittedModel:
     theta: np.ndarray
     lam: float
     alpha: Optional[np.ndarray] = None
-    support: Optional[np.ndarray] = None
-    weights_used: Optional[np.ndarray] = None
 
     def to_json(self) -> dict:
         out = {
@@ -81,19 +77,14 @@ class FittedModel:
         return out
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray:
-    """SPD solve with jitter escalation and one iterative-refinement step."""
-    last_err: Exception | None = None
-    for jit in _JITTERS:
-        try:
-            mat = A if jit == 0.0 else A + jit * scale * np.eye(len(A))
-            cf = sla.cho_factor(mat, lower=True, check_finite=False)
-            x = sla.cho_solve(cf, rhs, check_finite=False)
-            x = x + sla.cho_solve(cf, rhs - mat @ x, check_finite=False)
-            return x
-        except np.linalg.LinAlgError as err:  # pragma: no cover - rare path
-            last_err = err
-    raise FactorizationError(f"factorization failed: {last_err}")
+def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Cholesky solve of an SPD system with one iterative-refinement step."""
+    try:
+        cf = sla.cho_factor(A, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise FactorizationError(f"factorization failed: {err}") from err
+    x = sla.cho_solve(cf, rhs, check_finite=False)
+    return x + sla.cho_solve(cf, rhs - A @ x, check_finite=False)
 
 
 def _check_residual(res: np.ndarray, rhs: np.ndarray) -> None:
@@ -125,8 +116,7 @@ def _fit_dual(data: Dataset, kernel: EigenKernel, lam: float,
     A = K * s[:, None]
     A *= s
     A[np.diag_indices_from(A)] += n * lam
-    scale = float(np.linalg.norm(K, np.inf)) + n * lam
-    alpha_kept = s * _solve_spd(A, s * ys, scale)
+    alpha_kept = s * _solve_spd(A, s * ys)
     _check_residual(w * (K @ alpha_kept) + n * lam * alpha_kept - w * ys, w * ys)
     alpha = np.zeros(n)
     alpha[keep] = alpha_kept
@@ -136,8 +126,6 @@ def _fit_dual(data: Dataset, kernel: EigenKernel, lam: float,
         theta=kernel.mu * (kernel.feature_matrix(xs).T @ alpha_kept),
         lam=lam,
         alpha=alpha,
-        support=data.xs,
-        weights_used=weights,
     )
 
 
@@ -207,7 +195,6 @@ class RidgeCore:
                  weights: Optional[np.ndarray] = None):
         self.kernel = kernel
         self.n = len(data)
-        self.weights = weights
         self.active = kernel.mu > 0
         self.sqrt_mu = np.sqrt(kernel.mu[self.active])
         F = kernel.feature_matrix(data.xs)
@@ -231,8 +218,7 @@ class RidgeCore:
     def _model(self, z: np.ndarray, lam: float) -> FittedModel:
         theta = np.zeros(self.kernel.rank)
         theta[self.active] = self.sqrt_mu * z
-        return FittedModel(mode="primal", kernel=self.kernel, theta=theta, lam=lam,
-                           weights_used=self.weights)
+        return FittedModel(mode="primal", kernel=self.kernel, theta=theta, lam=lam)
 
     def fit_ridge(self, lam: float) -> FittedModel:
         """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c."""
@@ -258,22 +244,29 @@ class RidgeCore:
         return self._model(self.U @ z, xi_star)
 
 
-def fit_krr(data: Dataset, kernel: EigenKernel, lam: float, mode: str = "dual") -> FittedModel:
-    """Kernel ridge regression: minimize (1/n) sum (f(x_i)-y_i)^2 + lam ||f||_H^2.
-
-    Dual mode solves (K + n lam I) alpha = y; primal mode reads the
-    equivalent feature-space ridge solution off a ``RidgeCore``.  Both
-    satisfy their stationarity system to relative residual 1e-8.
-    """
+def _fit_ridge(data: Dataset, kernel: EigenKernel, lam: float, mode: str,
+               weights: Optional[np.ndarray]) -> FittedModel:
+    """The (weighted) ridge fit of ``fit_krr`` and ``fit_reweighted_krr``."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     if len(data) < 1:
         raise ValueError("need at least one observation")
     if mode == "dual":
-        return _fit_dual(data, kernel, lam, None)
+        return _fit_dual(data, kernel, lam, weights)
     if mode == "primal":
-        return RidgeCore(data, kernel).fit_ridge(lam)
+        return RidgeCore(data, kernel, weights).fit_ridge(lam)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def fit_krr(data: Dataset, kernel: EigenKernel, lam: float, mode: str = "dual") -> FittedModel:
+    """Kernel ridge regression: minimize (1/n) sum (f(x_i)-y_i)^2 + lam ||f||_H^2.
+
+    Dual mode solves (K + n lam I) alpha = y; primal mode reads the
+    equivalent feature-space ridge solution off a ``RidgeCore``.  Both
+    satisfy their stationarity system to relative residual 1e-8.  Weights
+    on the dataset are ignored.
+    """
+    return _fit_ridge(data, kernel, lam, mode, None)
 
 
 def fit_reweighted_krr(data: Dataset, kernel: EigenKernel, lam: float,
@@ -287,13 +280,7 @@ def fit_reweighted_krr(data: Dataset, kernel: EigenKernel, lam: float,
     """
     if data.weights is None:
         raise ValueError("reweighted fit requires dataset weights")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if mode == "dual":
-        return _fit_dual(data, kernel, lam, data.weights)
-    if mode == "primal":
-        return RidgeCore(data, kernel, data.weights).fit_ridge(lam)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _fit_ridge(data, kernel, lam, mode, data.weights)
 
 
 def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> FittedModel:

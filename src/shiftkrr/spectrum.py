@@ -7,10 +7,13 @@ functionals used by the bound calculators live here: the effective
 dimension d(delta), the eigenvalue tail / regularity check, the complexity
 function Psi(delta), and the critical radius solving M(delta) <= delta^2/2.
 
-Infinite sums are truncated at ``j_max`` (default 10**6 for polynomial
-decay) and corrected with the integral tail bound
-``sum_{j>J} c j^(-2a) <= c J^(1-2a)/(2a-1)``, so every output is
-deterministic with a known truncation error.
+Every sequence is a summed head plus an analytic tail.  The head of a list
+is the list itself and its tail is 0; the head of polynomial decay is
+mu_j for j <= ``j_max`` (default 10**6) and its tail is the integral bound
+``sum_{j>J} c j^(-2a) <= c J^(1-2a)/(2a-1)``.  Each functional is one
+expression over the head's suffix sums, the tail and an exact count of
+the eigenvalues above a level, so every output is deterministic with a
+known truncation error.
 """
 
 from __future__ import annotations
@@ -48,10 +51,14 @@ class EigenSequence:
     Three kinds are supported:
 
     * ``finite``   -- explicit values, zero beyond the declared rank D;
-    * ``poly``     -- mu_j = c * j^(-2*alpha) with alpha > 1/2;
     * ``explicit`` -- explicit values with a truncation index, zero beyond
-      the list (same arithmetic as ``finite``, kept distinct for config
-      round-trips).
+      the list;
+    * ``poly``     -- mu_j = c * j^(-2*alpha) with alpha > 1/2.
+
+    ``finite`` and ``explicit`` differ only in their JSON.  The sums run
+    over a head of ``length`` terms (the list, or mu_1..mu_{j_max} for
+    poly decay, built at the first sum that needs it) plus an analytic
+    tail beyond it (0 for a list).
     """
 
     def __init__(
@@ -76,6 +83,9 @@ class EigenSequence:
             self.alpha = float(alpha)
             self.c = float(c)
             self.values = None
+            self.length = self.j_max
+            # integral comparison: sum_{j>J} c j^(-2a) <= c J^(1-2a)/(2a-1)
+            self._tail = self.c * self.j_max ** (1.0 - 2.0 * self.alpha) / (2.0 * self.alpha - 1.0)
         else:
             vals = np.asarray(values if values is not None else [], dtype=float)
             if vals.ndim != 1:
@@ -85,7 +95,9 @@ class EigenSequence:
             self.alpha = None
             self.c = None
             self.values = vals
-        # lazy caches for poly partial sums
+            self.length = len(vals)
+            self._tail = 0.0
+        # the head and its suffix sums, built at the first sum that needs them
         self._mu_head: Optional[np.ndarray] = None
         self._suf_mu: Optional[np.ndarray] = None
         self._suf_mu2: Optional[np.ndarray] = None
@@ -154,24 +166,10 @@ class EigenSequence:
         out[:k] = self.values[:k]
         return out
 
-    # ---- poly caches ----------------------------------------------------
-
-    def _ensure_poly_caches(self) -> None:
-        if self._mu_head is None:
-            j = np.arange(1, self.j_max + 1, dtype=float)
-            mu = self.c * j ** (-2.0 * self.alpha)
-            self._mu_head = mu
-            # suffix sums, accumulated small-to-large so that tiny tails are
-            # not lost to cancellation: _suf_mu[k] = sum_{j > k} mu_j
-            self._suf_mu = np.concatenate((np.cumsum(mu[::-1])[::-1], [0.0]))
-            self._suf_mu2 = np.concatenate((np.cumsum((mu * mu)[::-1])[::-1], [0.0]))
-
-    def _poly_tail_beyond_jmax(self) -> float:
-        # integral comparison: sum_{j>J} c j^(-2a) <= c J^(1-2a)/(2a-1)
-        return self.c * self.j_max ** (1.0 - 2.0 * self.alpha) / (2.0 * self.alpha - 1.0)
-
-    def _poly_count_at_least(self, level: float) -> int:
-        """Number of indices with mu_j >= level (clipped to j_max)."""
+    def count_at_least(self, level: float) -> int:
+        """Number of head indices j with mu_j >= level, exact under float comparison."""
+        if self.kind != "poly":
+            return int(np.count_nonzero(self.values >= level))
         if level <= 0:
             return self.j_max
         x = (self.c / level) ** (1.0 / (2.0 * self.alpha))
@@ -179,7 +177,7 @@ class EigenSequence:
             k = self.j_max
         else:
             k = int(math.floor(x + 1e-12))
-        # make the count exact under float comparison of mu_j itself
+        # the closed form can be off by rounding: correct it against mu_j itself
         while k >= 1 and self.eigenvalue(k) < level:
             k -= 1
         while k < self.j_max and self.eigenvalue(k + 1) >= level:
@@ -188,44 +186,44 @@ class EigenSequence:
 
     # ---- spectral sums ---------------------------------------------------
 
+    def _head(self) -> np.ndarray:
+        if self._mu_head is None:
+            mu = self.leading(self.length)
+            self._mu_head = mu
+            # suffix sums, accumulated small-to-large so that tiny tails are
+            # not lost to cancellation: _suf_mu[k] = sum_{j > k} mu_j
+            self._suf_mu = np.concatenate((np.cumsum(mu[::-1])[::-1], [0.0]))
+            self._suf_mu2 = np.concatenate((np.cumsum((mu * mu)[::-1])[::-1], [0.0]))
+        return self._mu_head
+
     def trace(self) -> float:
-        """Sum of all eigenvalues (with analytic tail for poly decay)."""
-        if self.kind == "poly":
-            self._ensure_poly_caches()
-            return float(self._suf_mu[0]) + self._poly_tail_beyond_jmax()
-        return float(np.sum(self.values))
+        """Sum of all eigenvalues."""
+        return self.tail_sum(0)
 
     def tail_sum(self, j0: int) -> float:
-        """sum_{j > j0} mu_j, truncated at j_max plus the analytic tail."""
-        if self.kind == "poly":
-            self._ensure_poly_caches()
-            j0 = min(j0, self.j_max)
-            return float(self._suf_mu[j0]) + self._poly_tail_beyond_jmax()
-        if j0 >= len(self.values):
-            return 0.0
-        return float(np.sum(self.values[j0:]))
+        """sum_{j > j0} mu_j: the head's suffix sum plus the analytic tail."""
+        self._head()
+        return float(self._suf_mu[min(j0, self.length)]) + self._tail
 
     def resolvent_sum(self, s: float) -> float:
         """sum_j mu_j / (mu_j + s) for s > 0.
 
-        Exact over the head where mu_j >= 1e-4 s; the remainder uses the
-        two-term expansion mu/s - (mu/s)^2 whose relative error is <= 1e-8,
-        plus the analytic tail beyond j_max.
+        A list is summed exactly.  For poly decay the sum is exact over the
+        head where mu_j >= 1e-4 s; the remainder uses the two-term expansion
+        mu/s - (mu/s)^2 whose relative error is <= 1e-8, plus the analytic
+        tail beyond j_max.
         """
         if s <= 0:
             raise ValueError("resolvent shift must be positive")
-        if self.kind != "poly":
-            v = self.values
-            return float(np.sum(v / (v + s))) if v.size else 0.0
-        self._ensure_poly_caches()
-        jc = self._poly_count_at_least(1e-4 * s)
-        mu_head = self._mu_head[:jc]
-        head = float(np.sum(mu_head / (mu_head + s)))
+        mu = self._head()
+        if self.rank is not None:
+            return float(np.sum(mu / (mu + s)))
+        jc = self.count_at_least(1e-4 * s)
+        head = float(np.sum(mu[:jc] / (mu[:jc] + s)))
         s1 = float(self._suf_mu[jc])
         s2 = float(self._suf_mu2[jc])
         mid = s1 / s - s2 / (s * s)
-        beyond = self._poly_tail_beyond_jmax() / s
-        return head + mid + beyond
+        return head + mid + self._tail / s
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +231,15 @@ class EigenSequence:
 # ---------------------------------------------------------------------------
 
 
-def eigenvalue(eigs: EigenSequence, j: int) -> float:
-    """j-th eigenvalue of the sequence (1-indexed)."""
-    return eigs.eigenvalue(j)
+eigenvalue = EigenSequence.eigenvalue
 
 
 def effective_dim(eigs: EigenSequence, delta: float) -> int:
     """Smallest index whose eigenvalue drops to delta^2 or below.
 
-    d(delta) = min{ j >= 1 : mu_j <= delta^2 }.  For a finite-rank sequence
-    with delta^2 below the last nonzero eigenvalue this is D + 1, since
-    mu_{D+1} = 0.
+    d(delta) = min{ j >= 1 : mu_j <= delta^2 }, one more than the number
+    of eigenvalues above delta^2.  For a finite-rank sequence with delta^2
+    below the last nonzero eigenvalue this is D + 1, since mu_{D+1} = 0.
 
     Raises
     ------
@@ -251,26 +247,12 @@ def effective_dim(eigs: EigenSequence, delta: float) -> int:
         For infinite sequences when no index <= j_max satisfies the
         condition.
     """
-    if delta <= 0:
+    if not delta > 0:  # also rejects NaN
         raise ValueError("delta must be positive")
-    d2 = delta * delta
-    if eigs.kind == "poly":
-        # mu_j <= d2  <=>  j >= (c/d2)^(1/(2 alpha))
-        x = (eigs.c / d2) ** (1.0 / (2.0 * eigs.alpha)) if d2 > 0 else math.inf
-        if not math.isfinite(x):
-            raise TruncationExceeded("index exceeds truncation")
-        d = max(1, int(math.ceil(x - 1e-12)))
-        while d > 1 and eigs.eigenvalue(d - 1) <= d2:
-            d -= 1
-        while d <= eigs.j_max and eigs.eigenvalue(d) > d2:
-            d += 1
-        if d > eigs.j_max:
-            raise TruncationExceeded("index exceeds truncation")
-        return d
-    below = np.nonzero(eigs.values <= d2)[0]
-    if below.size:
-        return int(below[0]) + 1
-    return len(eigs.values) + 1
+    above = eigs.count_at_least(math.nextafter(delta * delta, math.inf))
+    if eigs.rank is None and above >= eigs.length:
+        raise TruncationExceeded("index exceeds truncation")
+    return above + 1
 
 
 def regularity_margin(
@@ -292,19 +274,14 @@ def regularity_margin(
 
 def psi_complexity(eigs: EigenSequence, delta: float, hnorm_sq: float = 1.0) -> float:
     """Kernel complexity Psi(delta) = sum_j min{delta^2, mu_j * hnorm_sq}."""
-    if delta < 0 or hnorm_sq < 0:
+    if not (delta >= 0 and hnorm_sq >= 0):  # also rejects NaN
         raise ValueError("delta and hnorm_sq must be nonnegative")
     d2 = delta * delta
     if d2 == 0.0 or hnorm_sq == 0.0:
         return 0.0
-    if eigs.kind != "poly":
-        v = eigs.values
-        return float(np.sum(np.minimum(d2, v * hnorm_sq))) if v.size else 0.0
-    eigs._ensure_poly_caches()
     # mu_j * h >= d2 on j <= count: those terms contribute d2 each
-    count = eigs._poly_count_at_least(d2 / hnorm_sq)
-    tail_within = float(eigs._suf_mu[count])
-    return count * d2 + hnorm_sq * (tail_within + eigs._poly_tail_beyond_jmax())
+    count = eigs.count_at_least(d2 / hnorm_sq)
+    return count * d2 + hnorm_sq * eigs.tail_sum(count)
 
 
 def m_function(
@@ -446,10 +423,9 @@ class EigenKernel:
                 raise ValueError(f"unknown eigenfunction family {features!r}")
             self.family = features
             self._features = _FEATURE_FAMILIES[features]
-        if rank is None and eigs.kind == "poly" and self.family != "hypercube":
+        if rank is None and eigs.rank is None and self.family != "hypercube":
             raise ValueError(f"{self.family} features on a poly sequence need an explicit rank")
-        seq_rank = eigs.j_max if eigs.kind == "poly" else len(eigs.values)
-        self.rank = int(min(seq_rank, rank)) if rank is not None else int(seq_rank)
+        self.rank = int(min(eigs.length, rank)) if rank is not None else eigs.length
         if self.rank < 1:
             raise ValueError("kernel rank must be >= 1")
         self.mu = eigs.leading(self.rank)
@@ -458,7 +434,7 @@ class EigenKernel:
         if kappa_sq is not None:
             self._kappa_sq = float(kappa_sq)
         else:
-            self._kappa_sq = None if eigs.kind == "poly" else eigs.trace()
+            self._kappa_sq = None if eigs.rank is None else eigs.trace()
         if self._kappa_sq is not None and not self._kappa_sq > 0:
             raise ValueError("kappa_sq must be positive")
 

@@ -336,3 +336,13 @@ def test_predict_returns_an_array_for_every_2d_batch():
     assert predict(model, np.array([[1.0, -1.0], [1.0, 1.0]])).shape == (2,)
     # a single 1-D point still gives a scalar
     assert isinstance(predict(model, np.array([1.0, -1.0])), float)
+
+
+def test_rank_deficient_dual_fit_at_tiny_lambda_raises_factorization_error():
+    # 40 points through a rank-3 kernel: K + n lam I is singular to working precision
+    rng = rng_for(5)
+    kernel = EigenKernel(EigenSequence.finite_rank([1.0, 0.5, 0.25]), "hypercube", rank=3)
+    xs = rng.integers(0, 2, size=(40, 3)) * 2.0 - 1
+    data = Dataset(xs, rng.normal(size=40))
+    with pytest.raises(FactorizationError, match="factorization failed"):
+        fit_krr(data, kernel, 1e-25, mode="dual")
