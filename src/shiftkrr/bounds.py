@@ -54,7 +54,7 @@ def krr_bound(
     bias^2 = 4 lam B ||f*||_H^2 and
     variance = 80 sigma^2 B (log n / n) sum_j mu_j / (mu_j + lam B).
     """
-    if lam <= 0 or B < 1 or n < 1 or sigma_sq <= 0 or hnorm_sq < 0:
+    if not (lam > 0 and 1 <= B < math.inf and n >= 1 and sigma_sq > 0 and hnorm_sq >= 0):
         raise ValueError("invalid krr_bound arguments")
     bias_sq = 4.0 * lam * B * hnorm_sq
     variance = 80.0 * sigma_sq * B * math.log(n) / n * eigs.resolvent_sum(lam * B)
@@ -107,13 +107,15 @@ def regular_bound(
 
     c' { delta^2 ||f*||_H^2 + sigma^2 B d(delta) log(n) / n }.
     """
+    if not (B >= 1 and n >= 1 and sigma_sq > 0 and hnorm_sq >= 0 and c_prime >= 0):
+        raise ValueError("invalid regular_bound arguments")
     d = effective_dim(eigs, delta)
     return c_prime * (delta * delta * hnorm_sq + sigma_sq * B * d * math.log(n) / n)
 
 
 def lambda_rule_finite_rank(sigma_sq: float, D: int, n: float) -> float:
     """Tuning rule lambda = sigma^2 D log(n) / n for rank-D kernels."""
-    if sigma_sq <= 0 or D < 1 or n < 1:
+    if not (sigma_sq > 0 and D >= 1 and n >= 1):
         raise ValueError("arguments must be positive")
     return sigma_sq * D * math.log(n) / n
 
@@ -123,7 +125,7 @@ def lambda_rule_poly(alpha: float, B: float, sigma_sq: float, n: float) -> float
 
     lambda = B^(-1/(2 alpha + 1)) (sigma^2 log(n) / n)^(2 alpha/(2 alpha + 1)).
     """
-    if alpha <= 0.5 or B < 1 or sigma_sq <= 0 or n < 1:
+    if not (alpha > 0.5 and B >= 1 and sigma_sq > 0 and n >= 1):
         raise ValueError("invalid lambda_rule_poly arguments")
     expo = 2.0 * alpha / (2.0 * alpha + 1.0)
     return B ** (-1.0 / (2.0 * alpha + 1.0)) * (sigma_sq * math.log(n) / n) ** expo
@@ -143,6 +145,8 @@ def minimax_lower(
     nonzero eigenvalue of a rank-D sequence); the infimum is taken over
     the supplied grid.
     """
+    if not (B >= 1 and n >= 1 and sigma_sq > 0 and c >= 0):
+        raise ValueError("invalid minimax_lower arguments")
     grid = default_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("delta grid must be nonempty")
@@ -167,14 +171,14 @@ def reweighted_rate(
     ``finite_rank`` gives c D V^2 log^3(n) sigma^2 / n (also the matching
     lambda rule); ``poly`` gives c (V^2 log^3(n) sigma^2 / n)^(2a/(2a+1)).
     """
-    if V_sq < 1 or sigma_sq <= 0 or n < 1:
+    if not (V_sq >= 1 and sigma_sq > 0 and n >= 1 and c >= 0):
         raise ValueError("invalid reweighted_rate arguments")
     if kind == "finite_rank":
-        if D is None or D < 1:
+        if D is None or not D >= 1:
             raise ValueError("finite_rank rate needs D >= 1")
         return c * D * V_sq * math.log(n) ** 3 * sigma_sq / n
     if kind == "poly":
-        if alpha is None or alpha <= 0.5:
+        if alpha is None or not alpha > 0.5:
             raise ValueError("poly rate needs alpha > 1/2")
         expo = 2.0 * alpha / (2.0 * alpha + 1.0)
         return c * (V_sq * math.log(n) ** 3 * sigma_sq / n) ** expo
@@ -195,7 +199,8 @@ def unbounded_unweighted_bound(
     Minimizing over lam yields the (sigma^2 V^2 / n)^(1/3) consistency
     rate; see ``unbounded_lambda_star`` for the exact minimizer.
     """
-    if lam <= 0 or V_sq < 1 or kappa_sq <= 0 or sigma_sq <= 0 or n < 1:
+    if not (lam > 0 and V_sq >= 1 and kappa_sq > 0 and sigma_sq > 0 and n >= 1
+            and hnorm_sq >= 0):
         raise ValueError("invalid unbounded bound arguments")
     bias_sq = 2.0 * math.sqrt(lam * V_sq * kappa_sq) * hnorm_sq
     variance = 40.0 * sigma_sq * math.log(n) / n * kappa_sq / lam
@@ -220,6 +225,8 @@ def unbounded_lambda_star(
     Setting the derivative to zero gives
     lambda* = (40 sigma^2 kappa log(n) / (n V ||f*||_H^2))^(2/3).
     """
+    if not (V_sq >= 1 and kappa_sq > 0 and sigma_sq > 0 and n >= 1 and hnorm_sq > 0):
+        raise ValueError("invalid unbounded_lambda_star arguments")
     kappa = math.sqrt(kappa_sq)
     v = math.sqrt(V_sq)
     return (40.0 * sigma_sq * kappa * math.log(n) / (n * v * hnorm_sq)) ** (2.0 / 3.0)
@@ -243,7 +250,8 @@ def expectation_bound(
     Valid for lam >= c1 kappa^2 log(n)/n; outside that region a warning is
     emitted (not an error) so full curves can still be evaluated.
     """
-    if lam <= 0 or B < 1 or n < 1 or sigma_sq <= 0:
+    if not (lam > 0 and 1 <= B < math.inf and n >= 1 and sigma_sq > 0 and kappa_sq > 0
+            and hnorm_sq >= 0 and c2 >= 0 and c1 >= 0):
         raise ValueError("invalid expectation_bound arguments")
     if lam < c1 * kappa_sq * math.log(n) / n:
         warnings.warn(

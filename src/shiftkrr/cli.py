@@ -1,9 +1,16 @@
-"""Command-line front door.
+"""Command-line front door: one pipeline serves every subcommand.
 
-Every subcommand is a thin wrapper over library calls: it reads a JSON
-config, resolves the seed (--seed flag, then the SHIFTKRR_SEED environment
-variable, then the config), runs, and writes CSV or JSON with canonical
-formatting, so identical configs and seeds give byte-identical outputs.
+``main`` alone reads outside input and writes output.  It loads the JSON
+config (``--config``, else an empty one), lets each flag that was given
+override the config key of the same name, checks ``--out``, calls the
+subcommand's handler with the merged dict and writes what it returns: a
+table ``(header, rows)`` as CSV (``{"rows": [...]}`` under ``--format
+json``) or a JSON document, formatted canonically so that identical
+configs and seeds give byte-identical files.
+
+The seed of ``simulate-risk``, ``erm-failure`` and ``figure2`` is the
+``--seed`` flag, else the SHIFTKRR_SEED environment variable, else the
+config's ``seed`` (default 0); only those subcommands convert it.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -15,17 +22,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import astuple
 from typing import Optional
 
 import numpy as np
 
 from . import bounds, experiments, hard_instance, spectrum
-from .estimators import (
-    FactorizationError,
-    ProjectionError,
-    fit_krr,
-    fit_reweighted_krr,
-)
+from .estimators import FactorizationError, ProjectionError, fit_krr, fit_reweighted_krr
 from .shifts import Dataset
 from .spectrum import EigenKernel, EigenSequence, TruncationExceeded, default_grid
 
@@ -34,158 +37,114 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
+def _float(cfg: dict, key: str, default: float) -> float:
+    value = float(cfg.get(key, default))
+    if not np.isfinite(value):
+        raise ConfigError(f"'{key}' must be a finite number")
+    return value
+
+
+def _load_config(path: Optional[str]) -> dict:
+    if not path:
         return {}
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config {args.config}: {err}") from err
+        raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     return obj
 
 
-def _resolve_seed(args, cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("SHIFTKRR_SEED")
-    if env is not None:
-        return int(env)
-    return int(cfg.get("seed", 0))
-
-
-def _grid_from(cfg: dict, key: str = "grid") -> np.ndarray:
-    g = cfg.get(key)
-    if g is None:
-        return default_grid()
-    if isinstance(g, list):
-        return np.asarray(g, dtype=float)
-    return default_grid(float(g.get("lo", spectrum.DEFAULT_GRID_MIN)),
-                        float(g.get("hi", spectrum.DEFAULT_GRID_MAX)),
-                        int(g.get("points", spectrum.DEFAULT_GRID_POINTS)))
-
-
-def _write_table(args, header, rows) -> None:
-    if args.format == "json":
-        experiments.write_json(args.out, header, rows)
+def _grid_from(cfg: dict) -> np.ndarray:
+    g = cfg.get("grid")
+    if g is None or isinstance(g, dict):
+        g = g or {}
+        grid = default_grid(float(g.get("lo", spectrum.DEFAULT_GRID_MIN)),
+                            float(g.get("hi", spectrum.DEFAULT_GRID_MAX)),
+                            int(g.get("points", spectrum.DEFAULT_GRID_POINTS)))
     else:
-        experiments.write_csv(args.out, header, rows)
+        grid = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("'grid' must hold finite numbers")
+    return grid
 
 
-def _write_json_doc(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _eigs_from(cfg: dict) -> EigenSequence:
+    if "eigs" not in cfg:
+        raise ConfigError("config needs an 'eigs' entry")
+    return EigenSequence.from_json(cfg["eigs"])
 
 
-def _need_out(args) -> None:
-    if not args.out:
-        raise ConfigError("--out is required for this subcommand")
+# subcommand handlers: merged config -> (header, rows) table or JSON document
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_fit(args) -> None:
-    cfg = _load_config(args)
-    data_path = args.data or cfg.get("data")
-    if not data_path:
+def _cmd_fit(cfg: dict) -> dict:
+    if not cfg.get("data"):
         raise ConfigError("fit needs a dataset CSV (--data or config 'data')")
     if "kernel" not in cfg:
         raise ConfigError("fit needs a 'kernel' entry in the config")
-    _need_out(args)
-    data = Dataset.from_csv(data_path)
+    data = Dataset.from_csv(cfg["data"])
     kernel = EigenKernel.from_json(cfg["kernel"])
-    lam = float(cfg.get("lambda", 0.1))
-    mode = cfg.get("mode", "dual")
-    if cfg.get("weighted", False):
-        model = fit_reweighted_krr(data, kernel, lam, mode=mode)
-    else:
-        model = fit_krr(data, kernel, lam, mode=mode)
-    _write_json_doc(args.out, model.to_json())
+    lam = _float(cfg, "lambda", 0.1)
+    fit = fit_reweighted_krr if cfg.get("weighted", False) else fit_krr
+    return fit(data, kernel, lam, mode=cfg.get("mode", "dual")).to_json()
 
 
 def _bound_inputs(cfg: dict):
-    if "eigs" not in cfg:
-        raise ConfigError("config needs an 'eigs' entry")
-    eigs = EigenSequence.from_json(cfg["eigs"])
-    return (eigs, float(cfg.get("B", 1.0)), int(cfg.get("n", 8000)),
-            float(cfg.get("sigma_sq", 1.0)), float(cfg.get("hnorm_sq", 1.0)))
+    return (_eigs_from(cfg), _float(cfg, "B", 1.0), int(cfg.get("n", 8000)),
+            _float(cfg, "sigma_sq", 1.0), _float(cfg, "hnorm_sq", 1.0))
 
 
-def _cmd_bound_curve(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
+def _cmd_bound_curve(cfg: dict):
     eigs, B, n, sigma_sq, hnorm_sq = _bound_inputs(cfg)
-    grid = _grid_from(cfg)
     header = ("lambda", "bias_sq", "variance", "total", "B", "n", "sigma_sq")
     rows = []
-    for lam in grid:
+    for lam in _grid_from(cfg):
         rep = bounds.krr_bound(eigs, float(lam), B, n, sigma_sq, hnorm_sq)
         rows.append([float(lam), rep.bias_sq, rep.variance, rep.total, B, n, sigma_sq])
-    _write_table(args, header, rows)
+    return header, rows
 
 
-def _cmd_lambda_star(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
+def _cmd_lambda_star(cfg: dict) -> dict:
     eigs, B, n, sigma_sq, hnorm_sq = _bound_inputs(cfg)
     lam, rep = bounds.lambda_star(eigs, B, n, sigma_sq, hnorm_sq, _grid_from(cfg))
-    _write_json_doc(args.out, {"lambda_star": lam, "total": rep.total, "B": B})
+    return {"lambda_star": lam, "total": rep.total, "B": B}
 
 
-def _cmd_lower_bound(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
+def _cmd_lower_bound(cfg: dict) -> dict:
     eigs, B, n, sigma_sq, _ = _bound_inputs(cfg)
-    value = bounds.minimax_lower(eigs, B, n, sigma_sq, _grid_from(cfg),
-                                 float(cfg.get("c", 1.0)))
-    _write_json_doc(args.out, {"lower_bound": value, "B": B, "n": n,
-                               "sigma_sq": sigma_sq, "c": float(cfg.get("c", 1.0))})
+    c = _float(cfg, "c", 1.0)
+    value = bounds.minimax_lower(eigs, B, n, sigma_sq, _grid_from(cfg), c)
+    return {"lower_bound": value, "B": B, "n": n, "sigma_sq": sigma_sq, "c": c}
 
 
-def _cmd_critical_radius(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
-    if "eigs" not in cfg:
-        raise ConfigError("config needs an 'eigs' entry")
-    eigs = EigenSequence.from_json(cfg["eigs"])
+def _cmd_critical_radius(cfg: dict) -> dict:
     delta = spectrum.critical_radius(
-        eigs,
-        sigma_sq=float(cfg.get("sigma_sq", 1.0)),
-        V_sq=float(cfg.get("V_sq", 1.0)),
+        _eigs_from(cfg),
+        sigma_sq=_float(cfg, "sigma_sq", 1.0),
+        V_sq=_float(cfg, "V_sq", 1.0),
         n=int(cfg.get("n", 8000)),
-        hnorm_sq=float(cfg.get("hnorm_sq", 1.0)),
-        c0=float(cfg.get("c0", 1.0)),
+        hnorm_sq=_float(cfg, "hnorm_sq", 1.0),
+        c0=_float(cfg, "c0", 1.0),
         general_noise=bool(cfg.get("general_noise", False)),
         grid=_grid_from(cfg),
     )
-    _write_json_doc(args.out, {"critical_radius": delta})
+    return {"critical_radius": delta}
 
 
-def _cmd_simulate_risk(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
-    cfg["seed"] = _resolve_seed(args, cfg)
-    if args.threads:
-        cfg["threads"] = args.threads
-    config = experiments.ExperimentConfig.from_json(cfg)
+def _cmd_simulate_risk(cfg: dict):
+    config = experiments.ExperimentConfig.from_json({**cfg, "seed": int(cfg.get("seed", 0))})
     rows = experiments.run_risk_sweep(config)
-    _write_table(args, experiments.RISK_HEADER, experiments.risk_rows_as_lists(rows))
+    return experiments.RISK_HEADER, [astuple(r) for r in rows]
 
 
-def _cmd_rates(args) -> None:
-    cfg = _load_config(args)
-    table_path = args.table or cfg.get("table")
-    if not table_path:
+def _cmd_rates(cfg: dict) -> dict:
+    if not cfg.get("table"):
         raise ConfigError("rates needs a risk table CSV (--table or config 'table')")
-    _need_out(args)
     rows = []
-    with open(table_path, newline="") as fh:
+    with open(cfg["table"], newline="") as fh:
         for rec in csv.DictReader(fh):
             rows.append(experiments.RiskRow(
                 rep=int(rec["rep"]), n=int(rec["n"]),
@@ -194,73 +153,65 @@ def _cmd_rates(args) -> None:
                 hnorm_sq=float(rec["hnorm_sq"]), seed=int(rec["seed"]),
                 status=rec["status"]))
     slopes = experiments.fit_rate_slope(rows)
-    doc = {"groups": [
+    return {"groups": [
         {"estimator": key[0], "B_or_V2": key[1],
          "slope": rs.slope, "stderr": rs.stderr}
         for key, rs in sorted(slopes.items())
     ]}
-    _write_json_doc(args.out, doc)
 
 
-def _cmd_erm_failure(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
-    n = int(args.n if args.n is not None else cfg.get("n", 8000))
-    B = float(args.B if args.B is not None else cfg.get("B", n ** (2.0 / 3.0)))
-    reps = int(args.reps if args.reps is not None else cfg.get("reps", 20))
+def _cmd_erm_failure(cfg: dict):
+    n = int(cfg.get("n", 8000))
     records = hard_instance.simulate_failure(
-        n, B,
-        sigma_sq=float(cfg.get("sigma_sq", 1.0)),
+        n, _float(cfg, "B", n ** (2.0 / 3.0)),
+        sigma_sq=_float(cfg, "sigma_sq", 1.0),
         D=cfg.get("D"),
-        reps=reps,
-        seed=_resolve_seed(args, cfg),
+        reps=int(cfg.get("reps", 20)),
+        seed=int(cfg.get("seed", 0)),
     )
-    _write_table(args, experiments.FAILURE_HEADER,
-                 experiments.failure_rows_as_lists(records))
+    return experiments.FAILURE_HEADER, [astuple(r) for r in records]
 
 
-def _cmd_figure1(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
-    eigs = EigenSequence.from_json(cfg["eigs"]) if "eigs" in cfg else None
+def _cmd_figure1(cfg: dict):
     rows = experiments.figure1(
-        out_path=None,
         B_values=cfg.get("B_values", experiments.FIGURE1_B_VALUES),
         n=int(cfg.get("n", 8000)),
-        sigma_sq=float(cfg.get("sigma_sq", 1.0)),
-        hnorm_sq=float(cfg.get("hnorm_sq", 1.0)),
+        sigma_sq=_float(cfg, "sigma_sq", 1.0),
+        hnorm_sq=_float(cfg, "hnorm_sq", 1.0),
         lambda_grid=_grid_from(cfg),
-        eigs=eigs,
+        eigs=_eigs_from(cfg) if "eigs" in cfg else None,
     )
-    _write_table(args, experiments.FIGURE1_HEADER, rows)
+    return experiments.FIGURE1_HEADER, rows
 
 
-def _cmd_figure2(args) -> None:
-    cfg = _load_config(args)
-    _need_out(args)
+def _cmd_figure2(cfg: dict):
     rows = experiments.figure2(
         n_list=cfg.get("n_list", experiments.FIGURE2_N_VALUES),
         B_grid=cfg.get("B_grid", experiments.FIGURE2_B_VALUES),
         reps=int(cfg.get("reps", 20)),
-        seed=_resolve_seed(args, cfg),
-        out_path=None,
-        sigma_sq=float(cfg.get("sigma_sq", 1.0)),
+        seed=int(cfg.get("seed", 0)),
+        sigma_sq=_float(cfg, "sigma_sq", 1.0),
         D=cfg.get("D"),
     )
-    _write_table(args, experiments.FIGURE2_HEADER, rows)
+    return experiments.FIGURE2_HEADER, rows
 
 
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "bound-curve": _cmd_bound_curve,
-    "lambda-star": _cmd_lambda_star,
-    "lower-bound": _cmd_lower_bound,
-    "critical-radius": _cmd_critical_radius,
-    "simulate-risk": _cmd_simulate_risk,
-    "rates": _cmd_rates,
-    "erm-failure": _cmd_erm_failure,
-    "figure1": _cmd_figure1,
-    "figure2": _cmd_figure2,
+# subcommand -> (handler, the flags it takes beyond --config, --out and --format);
+# each flag overrides the config key of the same name: name -> (type, help)
+_SEED = {"seed": (int, "master seed")}
+_COMMANDS = {
+    "fit": (_cmd_fit, {"data": (str, "dataset CSV path")}),
+    "bound-curve": (_cmd_bound_curve, {}),
+    "lambda-star": (_cmd_lambda_star, {}),
+    "lower-bound": (_cmd_lower_bound, {}),
+    "critical-radius": (_cmd_critical_radius, {}),
+    "simulate-risk": (_cmd_simulate_risk, {**_SEED, "threads": (int, "worker threads")}),
+    "rates": (_cmd_rates, {"table": (str, "risk table CSV path")}),
+    "erm-failure": (_cmd_erm_failure, {**_SEED, "n": (int, "sample size"),
+                                       "B": (float, "likelihood-ratio bound"),
+                                       "reps": (int, "replicates")}),
+    "figure1": (_cmd_figure1, {}),
+    "figure2": (_cmd_figure2, _SEED),
 }
 
 
@@ -271,31 +222,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed (overrides SHIFTKRR_SEED and config)")
     common.add_argument("--out", help="output file path")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--threads", type=int, default=0,
-                        help="worker threads for sweep grids")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        if name == "fit":
-            p.add_argument("--data", help="dataset CSV path")
-        if name == "rates":
-            p.add_argument("--table", help="risk table CSV path")
-        if name == "erm-failure":
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--B", type=float, default=None)
-            p.add_argument("--reps", type=int, default=None)
+        for flag, (kind, text) in flags.items():
+            p.add_argument(f"--{flag}", type=kind, help=text)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    handler, flag_types = _COMMANDS[args.command]
+    flags = {name: getattr(args, name) for name in flag_types}
+    if "seed" in flags and flags["seed"] is None:
+        flags["seed"] = os.environ.get("SHIFTKRR_SEED")
     try:
-        _HANDLERS[args.command](args)
-    except (ConfigError, ValueError, KeyError, OSError) as err:
+        cfg = _load_config(args.config)
+        cfg.update({k: v for k, v in flags.items() if v is not None})
+        if not args.out:
+            raise ConfigError("--out is required for this subcommand")
+        result = handler(cfg)
+        if isinstance(result, dict):
+            experiments.write_json(args.out, result)
+        elif args.format == "json":
+            header, rows = result
+            experiments.write_json(args.out, {"rows": [dict(zip(header, r)) for r in rows]})
+        else:
+            experiments.write_csv(args.out, *result)
+    except (ConfigError, ValueError, TypeError, KeyError, OSError, OverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (FactorizationError, ProjectionError, TruncationExceeded,

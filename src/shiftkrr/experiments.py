@@ -63,10 +63,9 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
             writer.writerow([format_cell(v) for v in row])
 
 
-def write_json(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    payload = {"rows": [dict(zip(header, row)) for row in rows]}
+def write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -96,8 +95,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_list or not self.shift_grid:
             raise ValueError("n_list and shift_grid must be nonempty")
-        if self.reps < 1:
+        if not self.reps >= 1:  # also rejects NaN
             raise ValueError("reps must be >= 1")
+        if not (0 <= self.sigma_sq < math.inf and 0 <= self.hnorm_sq < math.inf):
+            raise ValueError("sigma_sq and hnorm_sq must be finite and nonnegative")
+        if not all(isinstance(getattr(self, f), dict)
+                   for f in ("pair", "kernel", "lambda_rule", "fstar")):
+            raise TypeError("pair, kernel, lambda_rule and fstar must be objects")
         if self.estimator not in ("krr", "reweighted", "erm"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
@@ -127,11 +131,6 @@ class RiskRow:
 
 RISK_HEADER = ("rep", "n", "B_or_V2", "estimator", "lambda", "risk",
                "hnorm_sq", "seed", "status")
-
-
-def risk_rows_as_lists(rows: Sequence[RiskRow]) -> list[list]:
-    return [[r.rep, r.n, r.b_or_v2, r.estimator, r.lam, r.risk, r.hnorm_sq,
-             r.seed, r.status] for r in rows]
 
 
 def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.ndarray:
@@ -381,8 +380,3 @@ def figure2(
 
 
 FAILURE_HEADER = ("rep", "n", "B", "erm_risk", "krr_risk", "krr_hnorm_sq", "theta1_erm")
-
-
-def failure_rows_as_lists(records) -> list[list]:
-    return [[r.rep, r.n, r.B, r.erm_risk, r.krr_risk, r.krr_hnorm_sq, r.theta1_erm]
-            for r in records]

@@ -218,6 +218,8 @@ def simulate_failure(
     """
     if not 1.0 <= B <= n ** (2.0 / 3.0) + 1e-9:
         raise ValueError("B must lie in [1, n^(2/3)]")
+    if not (reps >= 1 and 0 <= sigma_sq < math.inf):  # also rejects NaN
+        raise ValueError("simulate_failure needs reps >= 1 and a finite sigma_sq >= 0")
     if D is None:
         D = min(n, 512)
     if D > n:

@@ -71,13 +71,18 @@ class Dataset:
     def from_csv(cls, path: str) -> "Dataset":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"dataset CSV {path} is empty")
             ncols = len(header)
             has_weight = header[-1] == "weight"
             d = ncols - 2 if has_weight else ncols - 1
             xs, ys, ws = [], [], []
             for row in reader:
                 vals = list(map(float, row))
+                if len(vals) != ncols:
+                    raise ValueError(f"dataset CSV {path}: a row has {len(vals)} fields, "
+                                     f"the header {ncols}")
                 xs.append(vals[:d])
                 ys.append(vals[d])
                 if has_weight:
@@ -133,10 +138,10 @@ def hypercube_hard_pair(D: int, B: float) -> ShiftPair:
     x_1 = 0 (a Q-null set), so the pair is exactly B-bounded and
     E_P[rho^2] = B.
     """
-    if D < 1:
+    if not D >= 1:  # each guard also rejects NaN
         raise ValueError("D must be >= 1")
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    if not 1 <= B < math.inf:
+        raise ValueError("B must be finite and >= 1")
 
     def source(n: int, rng: np.random.Generator) -> np.ndarray:
         x = rng.integers(0, 2, size=(n, D)).astype(float) * 2.0 - 1.0
@@ -170,9 +175,9 @@ def gaussian_scale_pair(tau_sq: float) -> ShiftPair:
     |x| -> infinity, but its second moment under P has the closed form
     tau / sqrt(2 - 1/tau^2), finite exactly when tau^2 > 1/2.
     """
-    if tau_sq <= 0.5:
+    if not tau_sq > 0.5:  # each guard also rejects NaN
         raise ValueError("chi-square moment infinite")
-    if tau_sq > 1.0:
+    if not tau_sq <= 1.0:
         raise ValueError("tau_sq must lie in (1/2, 1]")
     tau = math.sqrt(tau_sq)
     v_sq = tau / math.sqrt(2.0 - 1.0 / tau_sq)

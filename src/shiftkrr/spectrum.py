@@ -76,10 +76,10 @@ class EigenSequence:
         if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
         if kind == "poly":
-            if alpha is None or alpha <= 0.5:
+            if alpha is None or not alpha > 0.5:  # also rejects NaN
                 raise ValueError("poly decay requires alpha > 1/2 for a finite trace")
-            if c is None or c <= 0:
-                raise ValueError("poly decay requires scale c > 0")
+            if c is None or not 0 < c < math.inf:
+                raise ValueError("poly decay requires a finite scale c > 0")
             self.alpha = float(alpha)
             self.c = float(c)
             self.values = None
@@ -90,8 +90,8 @@ class EigenSequence:
             vals = np.asarray(values if values is not None else [], dtype=float)
             if vals.ndim != 1:
                 raise ValueError("eigenvalues must be a 1-d sequence")
-            if vals.size and (np.any(vals < 0) or np.any(np.diff(vals) > 0)):
-                raise ValueError("eigenvalues must be nonnegative and nonincreasing")
+            if not (np.all(np.isfinite(vals)) and np.all(vals >= 0) and np.all(np.diff(vals) <= 0)):
+                raise ValueError("eigenvalues must be finite, nonnegative and nonincreasing")
             self.alpha = None
             self.c = None
             self.values = vals
@@ -213,7 +213,7 @@ class EigenSequence:
         mu/s - (mu/s)^2 whose relative error is <= 1e-8, plus the analytic
         tail beyond j_max.
         """
-        if s <= 0:
+        if not s > 0:  # also rejects NaN
             raise ValueError("resolvent shift must be positive")
         mu = self._head()
         if self.rank is not None:
@@ -222,7 +222,7 @@ class EigenSequence:
         head = float(np.sum(mu[:jc] / (mu[:jc] + s)))
         s1 = float(self._suf_mu[jc])
         s2 = float(self._suf_mu2[jc])
-        mid = s1 / s - s2 / (s * s)
+        mid = s1 / s - s2 / s / s  # never forms s * s, which underflows
         return head + mid + self._tail / s
 
 
@@ -279,8 +279,9 @@ def psi_complexity(eigs: EigenSequence, delta: float, hnorm_sq: float = 1.0) -> 
     d2 = delta * delta
     if d2 == 0.0 or hnorm_sq == 0.0:
         return 0.0
-    # mu_j * h >= d2 on j <= count: those terms contribute d2 each
-    count = eigs.count_at_least(d2 / hnorm_sq)
+    # mu_j * h >= d2 on j <= count: those terms contribute d2 each; the level
+    # stays positive where d2 / h underflows, so zero eigenvalues never count
+    count = eigs.count_at_least(max(d2 / hnorm_sq, math.ulp(0.0)))
     return count * d2 + hnorm_sq * eigs.tail_sum(count)
 
 
@@ -301,13 +302,13 @@ def m_function(
     (sqrt(Psi(delta)/sigma^2) + 1), covering all noise ranges.  Logarithms
     are natural.
     """
-    if n < 1:
+    if not n >= 1:  # each guard also rejects NaN
         raise ValueError("n must be >= 1")
-    if sigma_sq <= 0:
+    if not sigma_sq > 0:
         raise ValueError("sigma_sq must be positive")
-    if V_sq < 1:
+    if not V_sq >= 1:
         raise ValueError("V_sq must be >= 1")
-    if c0 <= 0:
+    if not c0 > 0:
         raise ValueError("c0 must be positive")
     psi = psi_complexity(eigs, delta, hnorm_sq)
     base = c0 * math.sqrt(sigma_sq * V_sq * math.log(n) ** 3 / n * psi)

@@ -15,7 +15,7 @@ from shiftkrr.bounds import (
     unbounded_lambda_star,
     unbounded_unweighted_bound,
 )
-from shiftkrr.spectrum import EigenSequence, default_grid, effective_dim
+from shiftkrr.spectrum import EigenSequence, default_grid, effective_dim, m_function
 
 POLY1 = EigenSequence.poly_decay(1.0, 1.0)
 
@@ -205,3 +205,34 @@ def test_outputs_finite_and_nonnegative():
     for lam in np.geomspace(1e-4, 10, 10):
         rep = krr_bound(POLY1, lam, 5.0, 2000)
         assert np.isfinite(rep.total) and rep.bias_sq >= 0 and rep.variance >= 0
+
+
+# one valid call per calculator; each numeric argument in turn is set to NaN
+VALID_CALLS = [
+    (krr_bound, dict(eigs=POLY1, lam=0.1, B=2.0, n=1000, sigma_sq=1.0, hnorm_sq=1.0)),
+    (regular_bound, dict(eigs=POLY1, delta=0.1, B=2.0, n=1000, sigma_sq=1.0,
+                         hnorm_sq=1.0, c_prime=1.0)),
+    (lambda_rule_finite_rank, dict(sigma_sq=1.0, D=5, n=1000)),
+    (lambda_rule_poly, dict(alpha=1.0, B=2.0, sigma_sq=1.0, n=1000)),
+    (minimax_lower, dict(eigs=POLY1, B=2.0, n=1000, sigma_sq=1.0, c=1.0)),
+    (reweighted_rate, dict(kind="finite_rank", V_sq=2.0, sigma_sq=1.0, n=1000, c=1.0, D=3)),
+    (reweighted_rate, dict(kind="poly", V_sq=2.0, sigma_sq=1.0, n=1000, alpha=1.0)),
+    (unbounded_unweighted_bound, dict(lam=0.1, V_sq=2.0, kappa_sq=1.0, sigma_sq=1.0,
+                                      n=1000, hnorm_sq=1.0)),
+    (unbounded_lambda_star, dict(V_sq=2.0, kappa_sq=1.0, sigma_sq=1.0, n=1000, hnorm_sq=1.0)),
+    (expectation_bound, dict(eigs=POLY1, lam=1.0, B=2.0, n=1000, sigma_sq=1.0,
+                             kappa_sq=1.0, hnorm_sq=1.0, c2=2.0, c1=32.0)),
+    (m_function, dict(eigs=POLY1, delta=0.1, sigma_sq=1.0, V_sq=2.0, n=1000,
+                      hnorm_sq=1.0, c0=1.0)),
+]
+NAN_CASES = [(fn, kwargs, arg) for fn, kwargs in VALID_CALLS
+             for arg, value in kwargs.items() if isinstance(value, (int, float))]
+
+
+@pytest.mark.parametrize("fn,kwargs,arg", NAN_CASES,
+                         ids=[f"{fn.__name__}-{arg}" for fn, _, arg in NAN_CASES])
+def test_nan_argument_is_rejected(fn, kwargs, arg):
+    valid = fn(**kwargs)
+    assert math.isfinite(valid if isinstance(valid, float) else valid.total)
+    with pytest.raises(ValueError):
+        fn(**{**kwargs, arg: float("nan")})

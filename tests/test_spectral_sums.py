@@ -83,3 +83,16 @@ def test_nan_delta_is_rejected():
             psi_complexity(eigs, math.nan)
         with pytest.raises(ValueError):
             psi_complexity(eigs, 0.5, math.nan)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 2.5])
+def test_poly_resolvent_sum_where_s_squared_underflows(alpha):
+    eigs = EigenSequence.poly_decay(alpha, 1.0)
+    assert math.isfinite(eigs.resolvent_sum(1e-170))
+    assert eigs.resolvent_sum(1e-300) > eigs.resolvent_sum(1e-170) > eigs.resolvent_sum(1e-150)
+
+
+def test_zero_eigenvalue_adds_nothing_when_the_level_underflows():
+    # delta^2 / hnorm_sq underflows to 0, the level at which a zero eigenvalue counts
+    assert psi_complexity(EigenSequence.finite_rank([0.0]), 6.8e-162, 18.0) == 0.0
+    assert psi_complexity(EigenSequence.finite_rank([1.0, 0.0]), 6.8e-162, 18.0) == 6.8e-162**2
