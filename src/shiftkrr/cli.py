@@ -205,7 +205,8 @@ _COMMANDS = {
     "lambda-star": (_cmd_lambda_star, {}),
     "lower-bound": (_cmd_lower_bound, {}),
     "critical-radius": (_cmd_critical_radius, {}),
-    "simulate-risk": (_cmd_simulate_risk, {**_SEED, "threads": (int, "worker threads")}),
+    "simulate-risk": (_cmd_simulate_risk, {**_SEED,
+                                           "threads": (int, "cells run at once (speed only)")}),
     "rates": (_cmd_rates, {"table": (str, "risk table CSV path")}),
     "erm-failure": (_cmd_erm_failure, {**_SEED, "n": (int, "sample size"),
                                        "B": (float, "likelihood-ratio bound"),

@@ -193,21 +193,39 @@ class RidgeCore:
 
     def __init__(self, data: Dataset, kernel: EigenKernel,
                  weights: Optional[np.ndarray] = None):
-        self.kernel = kernel
-        self.n = len(data)
-        self.active = kernel.mu > 0
-        self.sqrt_mu = np.sqrt(kernel.mu[self.active])
         F = kernel.feature_matrix(data.xs)
-        if not np.all(self.active):
-            F = F[:, self.active]
+        active = kernel.mu > 0
+        if not np.all(active):
+            F = F[:, active]
         ys = data.ys
         if weights is not None:
             root_w = np.sqrt(weights)
             F = F * root_w[:, None]
             ys = root_w * ys
-        # scaling by an outer product keeps G as symmetric as F^T F
-        self.G = (F.T @ F) * np.outer(self.sqrt_mu, self.sqrt_mu)
-        self.c = self.sqrt_mu * (F.T @ ys)
+        self._factor(kernel, len(data), F.T @ F, F.T @ ys)
+
+    @classmethod
+    def from_moments(cls, kernel: EigenKernel, n: int, FtWF: np.ndarray,
+                     FtWy: np.ndarray) -> "RidgeCore":
+        """The core of n observations with moments F^T W F and F^T W y.
+
+        F holds the features of the kernel's nonzero eigenvalues only, so
+        callers that form the moments themselves (in blocks, or in another
+        precision) reach the same eigendecomposition as the constructor.
+        """
+        core = cls.__new__(cls)
+        core._factor(kernel, n, FtWF, FtWy)
+        return core
+
+    def _factor(self, kernel: EigenKernel, n: int, FtWF: np.ndarray,
+                FtWy: np.ndarray) -> None:
+        self.kernel = kernel
+        self.n = n
+        self.active = kernel.mu > 0
+        self.sqrt_mu = np.sqrt(kernel.mu[self.active])
+        # scaling by an outer product keeps G as symmetric as F^T W F
+        self.G = FtWF * np.outer(self.sqrt_mu, self.sqrt_mu)
+        self.c = self.sqrt_mu * FtWy
         try:
             s, self.U = np.linalg.eigh(self.G)
         except np.linalg.LinAlgError as err:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,8 +35,8 @@ from .estimators import (
     hilbert_norm_sq,
     l2q_error,
 )
-from .hard_instance import simulate_failure
-from .seeding import derive_seed, rng_for
+from .hard_instance import failure_cell
+from .seeding import derive_seed, map_units, rng_for
 from .shifts import Dataset, ShiftPair, default_truncation, truncate_lr
 from .spectrum import EigenKernel, EigenSequence, default_grid
 
@@ -205,7 +204,9 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
     """Run the configured estimator over the (n, shift) grid with replications.
 
     Rows are emitted in canonical grid order.  Fit failures are recorded
-    per row in the status column rather than aborting the sweep.
+    per row in the status column rather than aborting the sweep.  Cells
+    run through ``map_units`` on ``config.threads`` workers, which changes
+    only the speed: the rows do not depend on it.
     """
     kernel = EigenKernel.from_json(config.kernel)
     theta_star = fstar_coordinates(config.fstar, kernel, config.hnorm_sq)
@@ -262,11 +263,7 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
 
     cells = [(ni, bi) for ni in range(len(config.n_list))
              for bi in range(len(config.shift_grid))]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_cell = list(pool.map(run_cell, cells))
-    else:
-        per_cell = [run_cell(c) for c in cells]
+    per_cell = map_units(run_cell, cells, config.threads)
     return [row for cell_rows in per_cell for row in cell_rows]
 
 
@@ -358,22 +355,29 @@ def figure2(
     out_path: Optional[str] = None,
     sigma_sq: float = 1.0,
     D: Optional[int] = None,
+    threads: Optional[int] = None,
 ) -> list[list]:
     """Median KRR Hilbert norm on the hard pair versus the ratio bound B.
 
     Each sample size contributes one curve over the part of the B grid it
     supports: cells with B > n^(2/3) fall outside the hard-pair validity
-    range and are skipped, so smaller-n curves simply end earlier.
+    range and are skipped, so smaller-n curves simply end earlier.  The
+    replications of all cells form one list of units for ``map_units`` on
+    ``threads`` workers (all cores by default); the rows do not depend on
+    the worker count.
     """
+    if not reps >= 1:  # also rejects NaN
+        raise ValueError("figure2 needs reps >= 1")
+    cells = [(int(n), float(B), derive_seed(seed, ni, bi))
+             for ni, n in enumerate(n_list) for bi, B in enumerate(B_grid)
+             if B <= float(n) ** (2.0 / 3.0) + 1e-9]
+    replicates = [failure_cell(n, B, sigma_sq=sigma_sq, D=D, seed=s) for n, B, s in cells]
+    recs = map_units(lambda unit: replicates[unit[0]](unit[1]),
+                     [(k, rep) for k in range(len(cells)) for rep in range(reps)], threads)
     rows = []
-    for ni, n in enumerate(n_list):
-        for bi, B in enumerate(B_grid):
-            if B > float(n) ** (2.0 / 3.0) + 1e-9:
-                continue
-            recs = simulate_failure(int(n), float(B), sigma_sq=sigma_sq, D=D,
-                                    reps=reps, seed=derive_seed(seed, ni, bi))
-            med = float(np.median([r.krr_hnorm_sq for r in recs]))
-            rows.append([int(n), float(B), med, reps])
+    for k, (n, B, _) in enumerate(cells):
+        med = float(np.median([r.krr_hnorm_sq for r in recs[k * reps:(k + 1) * reps]]))
+        rows.append([n, B, med, reps])
     if out_path:
         write_csv(out_path, FIGURE2_HEADER, rows)
     return rows

@@ -20,13 +20,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error
-from .seeding import derive_seed, rng_for
-from .shifts import Dataset, hypercube_hard_pair
+from .seeding import derive_seed, map_units, rng_for
+from .shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design
 from .spectrum import EigenKernel, EigenSequence
 
 
@@ -83,9 +83,29 @@ class HardInstanceState:
     def from_sample(cls, n: int, B: float, sigma_sq: float, D: int, seed: int) -> "HardInstanceState":
         """Sample n hard-pair source points and collect (cov, v)."""
         rng = rng_for(seed, 17)
-        x = hypercube_hard_pair(D, B).sample_source(n, rng)
+        x = hard_pair_design(n, D, B, rng)
         w = rng.normal(0.0, math.sqrt(sigma_sq), size=n)
-        return cls(D=D, B=B, empirical_cov=x.T @ x / n, v=x.T @ w / n)
+        xtx, xtw = hard_pair_moments(x, w)
+        return cls(D=D, B=B, empirical_cov=xtx / n, v=xtw / n)
+
+
+def hard_pair_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x^T x, x^T y) in float64 for an int8 design x with entries in {-1, 0, 1}.
+
+    Each row block of ``HYPERCUBE_BLOCK_ROWS`` is multiplied in float32,
+    where every entry of the block's Gram is an integer of magnitude at
+    most the block's row count (< 2^24), and the blocks are summed in
+    float64, so x^T x equals the float64 product bit for bit.  x^T y is
+    summed in float64 over the same blocks.
+    """
+    n, D = x.shape
+    xtx = np.zeros((D, D))
+    xty = np.zeros(D)
+    for i in range(0, n, HYPERCUBE_BLOCK_ROWS):
+        block = x[i:i + HYPERCUBE_BLOCK_ROWS].astype(np.float32)
+        xtx += block.T @ block
+        xty += y[i:i + HYPERCUBE_BLOCK_ROWS] @ block  # promoted to float64
+    return xtx, xty
 
 
 def g_dual_tail(
@@ -197,6 +217,55 @@ def krr_lambda_rule(n: int, B: float) -> float:
     return 4.0 ** (2.0 / 3.0) * n ** (-2.0 / 3.0) * B ** (-1.0 / 3.0)
 
 
+def failure_cell(
+    n: int,
+    B: float,
+    sigma_sq: float = 1.0,
+    D: Optional[int] = None,
+    seed: int = 0,
+) -> Callable[[int], FailureRecord]:
+    """Check one (n, B) cell of ``simulate_failure``; return its replicate function.
+
+    The function maps rep to the ``FailureRecord`` of replication rep,
+    which depends on (seed, rep) alone, so replications can run in any
+    order and on any worker.
+    """
+    if not 1.0 <= B <= n ** (2.0 / 3.0) + 1e-9:
+        raise ValueError("B must lie in [1, n^(2/3)]")
+    if not 0 <= sigma_sq < math.inf:  # also rejects NaN
+        raise ValueError("simulate_failure needs a finite sigma_sq >= 0")
+    if D is None:
+        D = min(n, 512)
+    if D > n:
+        raise ValueError("D must not exceed n")
+    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=D)
+    theta_star = np.zeros(D)
+    theta_star[0] = 1.0
+    lam = krr_lambda_rule(n, B)
+    sigma = math.sqrt(sigma_sq)
+
+    def replicate(rep: int) -> FailureRecord:
+        rng = rng_for(derive_seed(seed, rep), 1)
+        x = hard_pair_design(n, D, B, rng)
+        ys = x[:, 0].astype(float)
+        if sigma > 0:
+            ys += rng.normal(0.0, sigma, size=n)
+        core = RidgeCore.from_moments(kernel, n, *hard_pair_moments(x, ys))
+        erm = core.fit_constrained(1.0)
+        krr = core.fit_ridge(lam)
+        return FailureRecord(
+            rep=rep,
+            n=n,
+            B=float(B),
+            erm_risk=l2q_error(erm, theta_star, exact_mode=True),
+            krr_risk=l2q_error(krr, theta_star, exact_mode=True),
+            krr_hnorm_sq=hilbert_norm_sq(krr),
+            theta1_erm=float(erm.theta[0]),
+        )
+
+    return replicate
+
+
 def simulate_failure(
     n: int,
     B: float,
@@ -204,6 +273,7 @@ def simulate_failure(
     D: Optional[int] = None,
     reps: int = 20,
     seed: int = 0,
+    threads: Optional[int] = None,
 ) -> list[FailureRecord]:
     """Fit constrained ERM and KRR on sampled hard instances.
 
@@ -214,39 +284,11 @@ def simulate_failure(
     Gram matrix and one eigendecomposition per replication), and records
     exact coordinate risks and the KRR Hilbert norm.  The ambient
     dimension defaults to min(n, 512); coordinates beyond 512 carry under
-    0.2% of the trace.
+    0.2% of the trace.  Replications run through ``map_units`` on
+    ``threads`` workers (all cores by default); the records do not depend
+    on the worker count.
     """
-    if not 1.0 <= B <= n ** (2.0 / 3.0) + 1e-9:
-        raise ValueError("B must lie in [1, n^(2/3)]")
-    if not (reps >= 1 and 0 <= sigma_sq < math.inf):  # also rejects NaN
-        raise ValueError("simulate_failure needs reps >= 1 and a finite sigma_sq >= 0")
-    if D is None:
-        D = min(n, 512)
-    if D > n:
-        raise ValueError("D must not exceed n")
-    pair = hypercube_hard_pair(D, B)
-    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=D)
-    theta_star = np.zeros(D)
-    theta_star[0] = 1.0
-    lam = krr_lambda_rule(n, B)
-    sigma = math.sqrt(sigma_sq)
-    out = []
-    for rep in range(reps):
-        rng = rng_for(derive_seed(seed, rep), 1)
-        xs = pair.sample_source(n, rng)
-        ys = xs[:, 0] + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
-        core = RidgeCore(Dataset(xs, ys), kernel)
-        erm = core.fit_constrained(1.0)
-        krr = core.fit_ridge(lam)
-        out.append(
-            FailureRecord(
-                rep=rep,
-                n=n,
-                B=float(B),
-                erm_risk=l2q_error(erm, theta_star, exact_mode=True),
-                krr_risk=l2q_error(krr, theta_star, exact_mode=True),
-                krr_hnorm_sq=hilbert_norm_sq(krr),
-                theta1_erm=float(erm.theta[0]),
-            )
-        )
-    return out
+    if not reps >= 1:  # also rejects NaN
+        raise ValueError("simulate_failure needs reps >= 1")
+    replicate = failure_cell(n, B, sigma_sq=sigma_sq, D=D, seed=seed)
+    return map_units(replicate, range(reps), threads)

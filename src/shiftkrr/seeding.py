@@ -1,13 +1,30 @@
-"""Deterministic seed derivation for parallel replications.
+"""Deterministic seeds and a deterministic executor for independent replications.
 
 Every replication / grid cell gets its own generator seeded from
 ``derive_seed(master_seed, *indices)``, so results are reproducible in
-isolation and independent of worker scheduling.
+isolation and independent of worker scheduling.  ``map_units`` runs such
+units on all available cores with BLAS on one thread, so their results
+are also independent of the core count and of the BLAS thread setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, Optional, TypeVar
+
 import numpy as np
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+#: (get, set) thread-count entry points of the OpenBLAS builds that numpy
+#: (64-bit integer interface) and scipy (32-bit) bundle
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -40,3 +57,65 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 def rng_for(master_seed: int, *indices: int) -> np.random.Generator:
     """PCG64 generator for the (master_seed, *indices) stream."""
     return np.random.default_rng(derive_seed(master_seed, *indices))
+
+
+def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    Empty when none is found: another BLAS, or no ``/proc/self/maps``.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({parts[5].rstrip() for parts in (line.split(maxsplit=5) for line in fh)
+                            if len(parts) == 6 and "openblas" in os.path.basename(parts[5])})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def map_units(fn: Callable[[T], R], units: Iterable[T],
+              threads: Optional[int] = None) -> list[R]:
+    """``[fn(u) for u in units]``, computed on ``threads`` workers with BLAS on one thread.
+
+    Results come back in the order of ``units``, and the exception of the
+    first failing unit propagates (with several workers, once every unit
+    has run).  ``threads=None`` uses every core this process may run on;
+    the count is capped at the number of units.  Every loaded OpenBLAS is
+    set to one thread for the whole call, serial runs included, and
+    restored afterwards, so a unit computes the same bytes whatever the
+    worker count, the core count or ``OPENBLAS_NUM_THREADS``.  The count
+    is set once around the call and not per unit: OpenBLAS keeps one
+    global count, so per-unit restores would race between workers.  Where
+    no OpenBLAS is found the units run serially with BLAS untouched.
+    """
+    units = list(units)
+    blas = _openblas_thread_controls()
+    if not blas:
+        return [fn(u) for u in units]
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
+    threads = max(1, min(threads, len(units)))
+    saved = [get() for get, _ in blas]
+    try:
+        for _, set_ in blas:
+            set_(1)
+        if threads == 1:
+            return [fn(u) for u in units]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, units))
+    finally:
+        for (_, set_), count in zip(blas, saved):
+            set_(count)

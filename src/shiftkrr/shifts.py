@@ -129,6 +129,49 @@ class ShiftPair:
         raise ValueError(f"unknown shift family {family!r}")
 
 
+#: rows per block of the hypercube draws; also bounds the entries of a
+#: block Gram of a +-1/0 design, so float32 block products are exact
+HYPERCUBE_BLOCK_ROWS = 2048
+
+
+def _check_hard_pair(D: int, B: float) -> None:
+    if not D >= 1:  # each guard also rejects NaN
+        raise ValueError("D must be >= 1")
+    if not 1 <= B < math.inf:
+        raise ValueError("B must be finite and >= 1")
+
+
+def hypercube_signs(n: int, D: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform points of {-1, +1}^D as int8.
+
+    Consumes the stream exactly as ``rng.integers(0, 2, size=(n, D))``
+    does: int32 draws give the same values as the int64 default, and
+    drawing in row blocks of ``HYPERCUBE_BLOCK_ROWS`` leaves the generator
+    where one draw would, so later draws are unchanged too.
+    """
+    x = np.empty((n, D), dtype=np.int8)
+    for i in range(0, n, HYPERCUBE_BLOCK_ROWS):
+        j = min(i + HYPERCUBE_BLOCK_ROWS, n)
+        x[i:j] = rng.integers(0, 2, size=(j - i, D), dtype=np.int32)
+    x *= 2
+    x -= 1
+    return x
+
+
+def hard_pair_design(n: int, D: int, B: float, rng: np.random.Generator) -> np.ndarray:
+    """n source points of the hard hypercube pair as an int8 array.
+
+    ``hypercube_hard_pair(D, B).sample_source`` is this array as float;
+    the first-coordinate mask is drawn after the signs, and not at all
+    when B = 1.
+    """
+    _check_hard_pair(D, B)
+    x = hypercube_signs(n, D, rng)
+    if B > 1:
+        x[rng.random(n) >= 1.0 / B, 0] = 0
+    return x
+
+
 def hypercube_hard_pair(D: int, B: float) -> ShiftPair:
     """Hard hypercube pair: the source starves the first coordinate.
 
@@ -138,19 +181,13 @@ def hypercube_hard_pair(D: int, B: float) -> ShiftPair:
     x_1 = 0 (a Q-null set), so the pair is exactly B-bounded and
     E_P[rho^2] = B.
     """
-    if not D >= 1:  # each guard also rejects NaN
-        raise ValueError("D must be >= 1")
-    if not 1 <= B < math.inf:
-        raise ValueError("B must be finite and >= 1")
+    _check_hard_pair(D, B)
 
     def source(n: int, rng: np.random.Generator) -> np.ndarray:
-        x = rng.integers(0, 2, size=(n, D)).astype(float) * 2.0 - 1.0
-        if B > 1:
-            x[rng.random(n) >= 1.0 / B, 0] = 0.0
-        return x
+        return hard_pair_design(n, D, B, rng).astype(float)
 
     def target(n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, 2, size=(n, D)).astype(float) * 2.0 - 1.0
+        return hypercube_signs(n, D, rng).astype(float)
 
     def lr(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -1,0 +1,77 @@
+"""The int8 hard-pair design: the same stream as the float sampler it replaced,
+and an exact Gram matrix from float32 row blocks."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftkrr.hard_instance import HardInstanceState, hard_pair_moments
+from shiftkrr.seeding import rng_for
+from shiftkrr.shifts import (
+    HYPERCUBE_BLOCK_ROWS,
+    hard_pair_design,
+    hypercube_hard_pair,
+)
+
+BLOCK = HYPERCUBE_BLOCK_ROWS
+
+
+def float_design(n, D, B, rng):
+    """The hard-pair source sampler as it was written before the int8 draw."""
+    x = rng.integers(0, 2, size=(n, D)).astype(float) * 2.0 - 1.0
+    if B > 1:
+        x[rng.random(n) >= 1.0 / B, 0] = 0.0
+    return x
+
+
+ROWS = st.one_of(
+    st.just(1),
+    st.integers(2, BLOCK - 1),
+    st.integers(BLOCK + 1, 3 * BLOCK).filter(lambda n: n % BLOCK),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=ROWS, D=st.integers(1, 70), B=st.one_of(st.just(1.0), st.floats(1.5, 400.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_int8_design_reproduces_the_float_stream(n, D, B, seed):
+    old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    old = float_design(n, D, B, old_rng)
+    new = hard_pair_design(n, D, B, new_rng)
+    assert new.dtype == np.int8
+    assert np.array_equal(new, old)
+    assert new_rng.random() == old_rng.random()
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=ROWS, D=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_samplers_reproduce_the_float_stream(n, D, seed):
+    pair = hypercube_hard_pair(D, 4.0)
+    rngs = [np.random.default_rng(seed) for _ in range(4)]
+    assert np.array_equal(pair.sample_source(n, rngs[0]), float_design(n, D, 4.0, rngs[1]))
+    assert np.array_equal(pair.sample_target(n, rngs[2]),
+                          rngs[3].integers(0, 2, size=(n, D)).astype(float) * 2.0 - 1.0)
+    assert rngs[0].random() == rngs[1].random()
+    assert rngs[2].random() == rngs[3].random()
+
+
+def test_float32_block_gram_equals_the_float64_product():
+    n, D = 20000, 96
+    rng = rng_for(5)
+    x = hard_pair_design(n, D, 16.0, rng)
+    y = x[:, 0] + rng.normal(size=n)
+    xtx, xty = hard_pair_moments(x, y)
+    xf = x.astype(float)
+    assert xtx.dtype == np.float64
+    assert np.array_equal(xtx, xf.T @ xf)
+    np.testing.assert_allclose(xty, xf.T @ y, rtol=1e-12, atol=1e-12 * np.linalg.norm(y))
+
+
+def test_sampled_state_covariance_is_bit_identical():
+    n, B, D, seed = 1500, 3.0, 40, 21
+    state = HardInstanceState.from_sample(n, B, 1.0, D, seed=seed)
+    rng = rng_for(seed, 17)
+    x = float_design(n, D, B, rng)
+    w = rng.normal(0.0, 1.0, size=n)
+    assert np.array_equal(state.empirical_cov, x.T @ x / n)
+    np.testing.assert_allclose(state.v, x.T @ w / n, rtol=1e-12, atol=1e-15)

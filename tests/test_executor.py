@@ -1,0 +1,99 @@
+"""The replicate executor: results in canonical order, independent of the
+worker count and of the BLAS thread setting, with BLAS counts restored."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import shiftkrr
+from shiftkrr import seeding
+from shiftkrr.estimators import FactorizationError
+from shiftkrr.experiments import ExperimentConfig, figure2, run_risk_sweep
+from shiftkrr.hard_instance import simulate_failure
+from shiftkrr.seeding import map_units
+
+SRC = Path(shiftkrr.__file__).resolve().parent.parent
+
+
+def blas_counts():
+    return [get() for get, _ in seeding._openblas_thread_controls()]
+
+
+def test_map_units_keeps_order_and_pins_blas_to_one_thread():
+    before = blas_counts()
+    seen = map_units(lambda u: (u, blas_counts()), range(7), threads=3)
+    assert [u for u, _ in seen] == list(range(7))
+    assert all(counts == [1] * len(before) for _, counts in seen)
+    assert blas_counts() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_units_restores_blas_counts_after_a_failing_unit(threads):
+    before = blas_counts()
+
+    def unit(u):
+        if u == 2:
+            raise FactorizationError("factorization failed: unit 2")
+        return u
+
+    with pytest.raises(FactorizationError, match="unit 2"):
+        map_units(unit, range(5), threads=threads)
+    assert blas_counts() == before
+
+
+def test_map_units_runs_serially_without_an_openblas(monkeypatch):
+    monkeypatch.setattr(seeding, "_openblas_thread_controls", lambda: [])
+    caller = threading.get_ident()
+    assert map_units(lambda u: (u, threading.get_ident()), range(4), threads=4) == [
+        (u, caller) for u in range(4)]
+
+
+def test_simulate_failure_is_independent_of_threads():
+    runs = [simulate_failure(600, 8.0, D=64, reps=5, seed=3, threads=t) for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_figure2_is_independent_of_threads():
+    runs = [figure2(n_list=[300, 600], B_grid=[2.0, 8.0], reps=3, seed=4, D=32, threads=t)
+            for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_weighted_dual_sweep_is_independent_of_threads():
+    # the dual path factorizes through scipy's OpenBLAS, so both libraries are pinned
+    cfg = dict(
+        pair={"family": "hypercube", "D": 16},
+        kernel={"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube",
+                "rank": 16},
+        estimator="reweighted",
+        lambda_rule={"rule": "poly", "alpha": 1.0},
+        weight_rule="tau_n",
+        fit_mode="dual",
+        n_list=[150, 300],
+        shift_grid=[2.0, 4.0],
+        reps=2,
+        seed=9,
+    )
+    serial = run_risk_sweep(ExperimentConfig(**cfg, threads=1))
+    parallel = run_risk_sweep(ExperimentConfig(**cfg, threads=2))
+    assert serial == parallel
+    assert all(r.status == "ok" for r in serial)
+
+
+def test_erm_failure_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    outputs = []
+    for value in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(SRC)
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        out = tmp_path / f"failure-{value}.csv"
+        subprocess.run([sys.executable, "-m", "shiftkrr.cli", "erm-failure", "--n", "2000",
+                        "--B", "16", "--reps", "4", "--seed", "1", "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
