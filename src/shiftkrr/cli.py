@@ -29,6 +29,7 @@ import numpy as np
 
 from . import bounds, experiments, hard_instance, spectrum
 from .estimators import FactorizationError, ProjectionError, fit_krr, fit_reweighted_krr
+from .seeding import map_units
 from .shifts import Dataset
 from .spectrum import EigenKernel, EigenSequence, TruncationExceeded, default_grid
 
@@ -89,7 +90,9 @@ def _cmd_fit(cfg: dict) -> dict:
     kernel = EigenKernel.from_json(cfg["kernel"])
     lam = _float(cfg, "lambda", 0.1)
     fit = fit_reweighted_krr if cfg.get("weighted", False) else fit_krr
-    return fit(data, kernel, lam, mode=cfg.get("mode", "dual")).to_json()
+    mode = cfg.get("mode", "dual")
+    # on one BLAS thread, like every replicate, so the bytes do not depend on the BLAS setting
+    return map_units(lambda d: fit(d, kernel, lam, mode=mode), [data])[0].to_json()
 
 
 def _bound_inputs(cfg: dict):

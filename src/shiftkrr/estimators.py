@@ -10,8 +10,10 @@ one dataset forms one Gram matrix.
 
 Ridge and reweighted ridge also have a ``dual`` mode, with coefficients
 alpha over the training points from the regularized kernel system.  It
-is the kernel-trick path for kernels whose rank exceeds n, and an
-independent check on the core.
+is the path for kernels whose rank exceeds n, and an independent check
+on the core.  It works from the scaled feature matrix and factors one
+n x n matrix; the kernel matrix itself is never formed.  ERM is the
+ridge fit at its multiplier, so every fit passes one stationarity check.
 
 Fitted models always carry their eigen-coordinates, so predictions,
 Hilbert norms, and exact L2(Q) errors are cheap regardless of mode.
@@ -77,16 +79,6 @@ class FittedModel:
         return out
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve of an SPD system with one iterative-refinement step."""
-    try:
-        cf = sla.cho_factor(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise FactorizationError(f"factorization failed: {err}") from err
-    x = sla.cho_solve(cf, rhs, check_finite=False)
-    return x + sla.cho_solve(cf, rhs - A @ x, check_finite=False)
-
-
 def _check_residual(res: np.ndarray, rhs: np.ndarray) -> None:
     """Raise unless the residual ``res`` of a solve is within tolerance of ``rhs``."""
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
@@ -100,33 +92,37 @@ def _check_residual(res: np.ndarray, rhs: np.ndarray) -> None:
 
 def _fit_dual(data: Dataset, kernel: EigenKernel, lam: float,
               weights: Optional[np.ndarray]) -> FittedModel:
-    """Solve (W K + n lam I) alpha = W y through its symmetric form.
+    """Solve (W K + n lam I) alpha = W y through its symmetric form, without K.
 
     A zero weight forces alpha_i = 0, so only the rows with positive weight
-    enter: with S = W^(1/2) on those rows, (S K S + n lam I) beta = S y and
-    alpha = S beta.  The residual is checked on the unsymmetric system over
-    the kept rows; on the dropped rows it vanishes identically.
+    enter.  With S = W^(1/2) on those rows and Fs = S F M^(1/2), the system
+    is (Fs Fs^T + n lam I) beta = S y with alpha = S beta, and that one
+    n x n matrix is factored in place.  The residual of the unsymmetric
+    system over the kept rows, S((Fs Fs^T + n lam I) beta - S y), is
+    checked through Fs; on the dropped rows it vanishes identically.
+    theta = M^(1/2) Fs^T beta = M F^T alpha.
     """
     n = len(data)
     w = np.ones(n) if weights is None else weights
     keep = w > 0
-    xs, ys, w = data.xs[keep], data.ys[keep], w[keep]
-    s = np.sqrt(w)
-    K = kernel.gram(xs)
-    A = K * s[:, None]
-    A *= s
+    s = np.sqrt(w[keep])
+    sqrt_mu = np.sqrt(kernel.mu)
+    Fs = kernel.feature_matrix(data.xs[keep]) * sqrt_mu * s[:, None]
+    rhs = s * data.ys[keep]
+    A = Fs @ Fs.T
     A[np.diag_indices_from(A)] += n * lam
-    alpha_kept = s * _solve_spd(A, s * ys)
-    _check_residual(w * (K @ alpha_kept) + n * lam * alpha_kept - w * ys, w * ys)
+    try:
+        # A is symmetric, so A.T is the Fortran-ordered view LAPACK factors without a copy
+        cf = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise FactorizationError(f"factorization failed: {err}") from err
+    beta = sla.cho_solve(cf, rhs, check_finite=False)
+    beta += sla.cho_solve(cf, rhs - Fs @ (Fs.T @ beta) - n * lam * beta, check_finite=False)
+    _check_residual(s * (Fs @ (Fs.T @ beta) + n * lam * beta - rhs), s * rhs)
     alpha = np.zeros(n)
-    alpha[keep] = alpha_kept
-    return FittedModel(
-        mode="dual",
-        kernel=kernel,
-        theta=kernel.mu * (kernel.feature_matrix(xs).T @ alpha_kept),
-        lam=lam,
-        alpha=alpha,
-    )
+    alpha[keep] = s * beta
+    return FittedModel(mode="dual", kernel=kernel, theta=sqrt_mu * (Fs.T @ beta),
+                       lam=lam, alpha=alpha)
 
 
 def ball_quadratic_min(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
@@ -248,18 +244,17 @@ class RidgeCore:
         return self._model(z, lam)
 
     def fit_constrained(self, radius: float) -> FittedModel:
-        """Empirical risk minimizer over the Hilbert ball; see ``fit_constrained_erm``."""
+        """ERM over the Hilbert ball (see ``fit_constrained_erm``): the ridge fit at its multiplier."""
         if radius <= 0:
             raise ValueError("radius must be positive")
         n = self.n
         trace_K = float(np.trace(self.G))  # sum_i w_i K(x_i, x_i)
-        lam_min = max(1e-10 * trace_K / n, 1e-300)
         _, xi = ball_quadratic_min(self.s / n, self.ct / n, radius)
-        xi_star = max(xi, lam_min)
+        xi_star = max(xi, 1e-10 * trace_K / n, 1e-300)
         z = self.ct / (self.s + n * xi_star)
         if not np.linalg.norm(z) <= radius * (1.0 + PROJECTION_RTOL):
             raise ProjectionError("constraint projection failed")
-        return self._model(self.U @ z, xi_star)
+        return self.fit_ridge(xi_star)
 
 
 def _fit_ridge(data: Dataset, kernel: EigenKernel, lam: float, mode: str,

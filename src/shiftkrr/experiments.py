@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .estimators import (
     FactorizationError,
+    FittedModel,
     ProjectionError,
     fit_constrained_erm,
     fit_krr,
@@ -36,8 +37,8 @@ from .estimators import (
     l2q_error,
 )
 from .hard_instance import failure_cell
-from .seeding import derive_seed, map_units, rng_for
-from .shifts import Dataset, ShiftPair, default_truncation, truncate_lr
+from .seeding import derive_seed, map_units
+from .shifts import Dataset, ShiftPair, default_truncation, sample_dataset, truncate_lr
 from .spectrum import EigenKernel, EigenSequence, default_grid
 
 FIGURE1_B_VALUES = (1.0, 5.0, 10.0, 15.0)
@@ -101,8 +102,13 @@ class ExperimentConfig:
         if not all(isinstance(getattr(self, f), dict)
                    for f in ("pair", "kernel", "lambda_rule", "fstar")):
             raise TypeError("pair, kernel, lambda_rule and fstar must be objects")
-        if self.estimator not in ("krr", "reweighted", "erm"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        for name, allowed in (("estimator", ("krr", "reweighted", "erm")),
+                              ("risk", ("auto", "exact", "mc")),
+                              ("weight_rule", ("tau_n", "B", "raw")),
+                              ("fit_mode", ("primal", "dual"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; "
+                                 f"expected one of {', '.join(allowed)}")
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
@@ -184,7 +190,7 @@ def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
             raise ValueError("poly lambda rule needs a B-bounded pair")
         return lambda_rule_poly(alpha, pair.declared_B, sigma_sq, n)
     if name == "reweighted":
-        v_sq = pair.declared_V_sq if pair.declared_V_sq is not None else pair.declared_B
+        v_sq = pair.declared_V_sq
         c = float(rule.get("c", 1.0))
         if "alpha" in rule:
             return reweighted_rate("poly", v_sq, sigma_sq, n, c, alpha=float(rule["alpha"]))
@@ -193,20 +199,19 @@ def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
     raise ValueError(f"unknown lambda rule {name!r}")
 
 
-def _exact_risk_available(pair: ShiftPair, kernel: EigenKernel) -> bool:
-    return (pair.family, kernel.family) in {
-        ("hypercube", "hypercube"),
-        ("gaussian_scale", "hermite"),
-    }
+#: (pair, kernel) families whose eigenfunctions are orthonormal under the target
+_EXACT_RISK_FAMILIES = {("hypercube", "hypercube"), ("gaussian_scale", "hermite")}
 
 
 def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
     """Run the configured estimator over the (n, shift) grid with replications.
 
     Rows are emitted in canonical grid order.  Fit failures are recorded
-    per row in the status column rather than aborting the sweep.  Cells
-    run through ``map_units`` on ``config.threads`` workers, which changes
-    only the speed: the rows do not depend on it.
+    per row in the status column rather than aborting the sweep.  Every
+    cell resolves its pair, lambda, risk mode and estimator once, before
+    any replicate runs; the cells then run through ``map_units`` on
+    ``config.threads`` workers, which changes only the speed: the rows do
+    not depend on it.
     """
     kernel = EigenKernel.from_json(config.kernel)
     theta_star = fstar_coordinates(config.fstar, kernel, config.hnorm_sq)
@@ -214,57 +219,52 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
     def fstar_fn(x: np.ndarray) -> np.ndarray:
         return kernel.feature_matrix(x) @ theta_star
 
-    def run_cell(cell: tuple[int, int]) -> list[RiskRow]:
-        ni, bi = cell
+    def risk_cell(ni: int, bi: int) -> Callable[[int], RiskRow]:
         n = int(config.n_list[ni])
-        shift = float(config.shift_grid[bi])
-        pair = _build_pair(config.pair, shift)
+        pair = _build_pair(config.pair, float(config.shift_grid[bi]))
         b_or_v2 = pair.declared_B if pair.declared_B is not None else pair.declared_V_sq
         lam = _resolve_lambda(config.lambda_rule, n, pair, kernel, config.sigma_sq)
-        exact = config.risk == "exact" or (
-            config.risk == "auto" and _exact_risk_available(pair, kernel)
-        )
-        rows = []
-        for rep in range(config.reps):
+        exact = config.risk != "mc" and (pair.family, kernel.family) in _EXACT_RISK_FAMILIES
+        if config.risk == "exact" and not exact:
+            raise ValueError(f"exact risk needs eigenfunctions orthonormal under the target: "
+                             f"not {kernel.family} ones on a {pair.family} pair")
+        tau = None
+        if config.estimator == "reweighted" and config.weight_rule != "raw":
+            tau = (config.truncation_scale * default_truncation(n, pair.declared_V_sq)
+                   if config.weight_rule == "tau_n" else pair.declared_B)
+            if tau is None:
+                raise ValueError(f"weight rule 'B' needs a B-bounded pair, not {pair.family}")
+
+        def fit(data: Dataset) -> FittedModel:
+            if config.estimator == "krr":
+                return fit_krr(data, kernel, lam, mode=config.fit_mode)
+            if config.estimator == "erm":
+                return fit_constrained_erm(data, kernel, config.radius)
+            rho = pair.lr(data.xs)
+            w = rho if tau is None else truncate_lr(rho, tau)
+            return fit_reweighted_krr(data.with_weights(w), kernel, lam, mode=config.fit_mode)
+
+        def replicate(rep: int) -> RiskRow:
             seed_r = derive_seed(config.seed, ni, bi, rep)
-            rng = rng_for(seed_r, 1)
-            xs = pair.sample_source(n, rng)
-            ys = fstar_fn(xs) + rng.normal(0.0, math.sqrt(config.sigma_sq), size=n)
-            data = Dataset(xs, ys)
             try:
-                if config.estimator == "krr":
-                    model = fit_krr(data, kernel, lam, mode=config.fit_mode)
-                elif config.estimator == "reweighted":
-                    rho = pair.lr(xs)
-                    if config.weight_rule == "tau_n":
-                        v_sq = pair.declared_V_sq if pair.declared_V_sq is not None else pair.declared_B
-                        tau = config.truncation_scale * default_truncation(n, v_sq)
-                        w = truncate_lr(rho, tau)
-                    elif config.weight_rule == "B":
-                        w = truncate_lr(rho, pair.declared_B)
-                    elif config.weight_rule == "raw":
-                        w = rho
-                    else:
-                        raise ValueError(f"unknown weight rule {config.weight_rule!r}")
-                    model = fit_reweighted_krr(data.with_weights(w), kernel, lam,
-                                               mode=config.fit_mode)
-                else:
-                    model = fit_constrained_erm(data, kernel, config.radius)
+                model = fit(sample_dataset(pair, fstar_fn, math.sqrt(config.sigma_sq), n, seed_r))
                 if exact:
                     risk = l2q_error(model, theta_star, exact_mode=True)
                 else:
                     risk = l2q_error(model, fstar_fn, pair, config.n_mc, seed=seed_r)
-                rows.append(RiskRow(rep, n, b_or_v2, config.estimator, model.lam,
-                                    risk, hilbert_norm_sq(model), seed_r, "ok"))
+                return RiskRow(rep, n, b_or_v2, config.estimator, model.lam, risk,
+                               hilbert_norm_sq(model), seed_r, "ok")
             except (FactorizationError, ProjectionError) as err:
-                rows.append(RiskRow(rep, n, b_or_v2, config.estimator, lam,
-                                    float("nan"), float("nan"), seed_r, str(err)))
-        return rows
+                return RiskRow(rep, n, b_or_v2, config.estimator, lam,
+                               float("nan"), float("nan"), seed_r, str(err))
 
-    cells = [(ni, bi) for ni in range(len(config.n_list))
+        return replicate
+
+    cells = [risk_cell(ni, bi) for ni in range(len(config.n_list))
              for bi in range(len(config.shift_grid))]
-    per_cell = map_units(run_cell, cells, config.threads)
-    return [row for cell_rows in per_cell for row in cell_rows]
+    per_cell = map_units(lambda replicate: list(map(replicate, range(config.reps))),
+                         cells, config.threads)
+    return [row for rows in per_cell for row in rows]
 
 
 @dataclass(frozen=True)

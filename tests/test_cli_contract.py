@@ -143,3 +143,23 @@ def test_simulate_failure_rejects_no_replicates_and_nan_noise():
         simulate_failure(60, 2.0, reps=0)
     with pytest.raises(ValueError):
         simulate_failure(60, 2.0, sigma_sq=float("nan"), reps=1)
+
+
+GAUSSIAN_PAIR = {"pair": {"family": "gaussian_scale", "tau_sq": 0.9}, "shift_grid": [0.9]}
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({**SWEEP, "risk": "exakt"}, "unknown risk 'exakt'"),
+    ({**SWEEP, "estimator": "reweighted", "weight_rule": "b"}, "unknown weight_rule 'b'"),
+    ({**SWEEP, "fit_mode": "Dual"}, "unknown fit_mode 'Dual'"),
+    ({**SWEEP, **GAUSSIAN_PAIR, "estimator": "reweighted", "weight_rule": "B",
+      "kernel": {"eigs": POLY, "eigenfunctions": "hermite", "rank": 4}},
+     "weight rule 'B' needs a B-bounded pair"),
+    ({**SWEEP, **GAUSSIAN_PAIR, "risk": "exact",
+      "kernel": {"eigs": {"kind": "finite", "values": [1.0]}, "rank": 1}},
+     "exact risk needs eigenfunctions orthonormal"),
+], ids=["risk", "weight_rule", "fit_mode", "clip-at-B-unbounded", "exact-not-orthonormal"])
+def test_sweep_config_typos_exit_2(tmp_path, monkeypatch, capsys, cfg, message):
+    assert run(tmp_path, monkeypatch, ["simulate-risk"], cfg) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()

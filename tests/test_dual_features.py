@@ -1,0 +1,110 @@
+"""The dual ridge fit from the feature matrix, and ERM as the ridge fit at its multiplier.
+
+The dual factors one n x n matrix built from the scaled features and never
+forms the kernel matrix; it must agree with the feature-space normal
+equations also where the kernel rank exceeds n, the case the dual exists
+for.  Constrained ERM is the ridge fit of the same core at its multiplier.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftkrr.estimators import RidgeCore, fit_krr, fit_reweighted_krr
+from shiftkrr.hard_instance import hard_pair_moments
+from shiftkrr.seeding import rng_for
+from shiftkrr.shifts import Dataset, hard_pair_design
+from shiftkrr.spectrum import EigenKernel, EigenSequence
+
+
+def normal_equations_theta(data, kernel, lam, weights):
+    """theta = M^(1/2) (Phi^T W Phi + n lam I)^(-1) Phi^T W y with Phi = F M^(1/2)."""
+    n = len(data)
+    w = np.ones(n) if weights is None else weights
+    root_mu = np.sqrt(kernel.mu)
+    phi = kernel.feature_matrix(data.xs) * root_mu
+    lhs = phi.T @ (phi * w[:, None]) + n * lam * np.eye(kernel.rank)
+    return root_mu * np.linalg.solve(lhs, phi.T @ (w * data.ys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=2, max_value=40),
+       log_lam=st.floats(min_value=-5.0, max_value=0.0),
+       weighting=st.sampled_from(["none", "positive", "some zero"]))
+def test_dual_agrees_with_normal_equations_when_rank_exceeds_n(seed, n, log_lam, weighting):
+    rng = np.random.default_rng(seed)
+    D = 64
+    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=D)
+    xs = rng.integers(0, 2, size=(n, D)).astype(float) * 2 - 1
+    ys = rng.normal(size=n)
+    lam = 10.0 ** log_lam
+    if weighting == "none":
+        weights, model = None, fit_krr(Dataset(xs, ys), kernel, lam, mode="dual")
+    else:
+        weights = rng.uniform(0.1, 3.0, size=n)
+        if weighting == "some zero":
+            weights[rng.random(n) < 0.3] = 0.0
+        model = fit_reweighted_krr(Dataset(xs, ys, weights), kernel, lam, mode="dual")
+    expected = normal_equations_theta(Dataset(xs, ys), kernel, lam, weights)
+    assert np.linalg.norm(model.theta - expected) <= 1e-9 * np.linalg.norm(expected)
+    # alpha carries the same function: theta = M F^T alpha, zero where the weight is
+    assert np.allclose(kernel.mu * (xs.T @ model.alpha), model.theta, rtol=1e-12, atol=1e-14)
+    if weights is not None:
+        assert np.all(model.alpha[weights == 0] == 0.0)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dual_fit_holds_one_n_by_n_array(weighted):
+    n, D = 1500, 16
+    rng = np.random.default_rng(3)
+    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=D)
+    xs = rng.integers(0, 2, size=(n, D)).astype(float) * 2 - 1
+    data = Dataset(xs, rng.normal(size=n), rng.uniform(0.5, 2.0, size=n) if weighted else None)
+    fit = fit_reweighted_krr if weighted else fit_krr
+    tracemalloc.start()
+    try:
+        fit(data, kernel, 0.01, mode="dual")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
+
+
+def test_dual_reads_features_once_and_never_the_kernel_matrix(monkeypatch):
+    calls = []
+    features = EigenKernel.feature_matrix
+
+    def counting_features(self, X):
+        calls.append("feature_matrix")
+        return features(self, X)
+
+    def no_gram(self, X, Z=None):
+        raise AssertionError("the dual fit formed the kernel matrix")
+
+    monkeypatch.setattr(EigenKernel, "feature_matrix", counting_features)
+    monkeypatch.setattr(EigenKernel, "gram", no_gram)
+    rng = np.random.default_rng(4)
+    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=8)
+    xs = rng.integers(0, 2, size=(50, 8)).astype(float) * 2 - 1
+    fit_reweighted_krr(Dataset(xs, rng.normal(size=50), rng.uniform(0.0, 2.0, size=50)),
+                       kernel, 0.05, mode="dual")
+    assert calls == ["feature_matrix"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("radius", [0.3, 1.0, 5.0])
+def test_constrained_fit_is_the_ridge_fit_at_its_multiplier(seed, radius):
+    n, D, B = 400, 32, 8.0
+    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=D)
+    rng = rng_for(seed, 1)
+    x = hard_pair_design(n, D, B, rng)
+    ys = x[:, 0] + rng.normal(0.0, 0.5, size=n)
+    core = RidgeCore.from_moments(kernel, n, *hard_pair_moments(x, ys))
+    erm = core.fit_constrained(radius)
+    ridge = core.fit_ridge(erm.lam)
+    assert erm.mode == ridge.mode == "primal"
+    assert np.array_equal(erm.theta, ridge.theta)

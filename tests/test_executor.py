@@ -1,12 +1,14 @@
 """The replicate executor: results in canonical order, independent of the
 worker count and of the BLAS thread setting, with BLAS counts restored."""
 
+import json
 import os
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shiftkrr
@@ -96,4 +98,38 @@ def test_erm_failure_bytes_do_not_depend_on_openblas_threads(tmp_path):
                         "--B", "16", "--reps", "4", "--seed", "1", "--out", str(out)],
                        env=env, check=True, timeout=120)
         outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_dual_fit_and_sweep_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    # a weighted dual fit on 2000 rows factors a matrix large enough for threaded BLAS
+    rng = np.random.default_rng(5)
+    n, D = 2000, 64
+    xs = rng.choice([-1.0, 1.0], size=(n, D))
+    ys = xs[:, 0] + rng.normal(size=n)
+    lines = [",".join([f"x_{j}" for j in range(1, D + 1)] + ["y", "weight"])]
+    lines += [",".join(f"{v:.17g}" for v in [*x, y, w])
+              for x, y, w in zip(xs, ys, rng.uniform(0.2, 3.0, size=n))]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    kernel = {"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube", "rank": D}
+    (tmp_path / "fit.json").write_text(json.dumps(
+        {"kernel": kernel, "lambda": 0.01, "mode": "dual", "weighted": True}))
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {"pair": {"family": "hypercube", "D": D}, "kernel": kernel, "estimator": "reweighted",
+         "lambda_rule": {"rule": "poly", "alpha": 1.0}, "weight_rule": "tau_n",
+         "fit_mode": "dual", "n_list": [1500], "shift_grid": [8.0], "reps": 1}))
+    outputs = []
+    for value in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(SRC)
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        run = []
+        for args in (["fit", "--config", "fit.json", "--data", "data.csv"],
+                     ["simulate-risk", "--config", "sweep.json", "--seed", "3"]):
+            out = tmp_path / f"{args[0]}-{value}.out"
+            subprocess.run([sys.executable, "-m", "shiftkrr.cli", *args, "--out", str(out)],
+                           cwd=tmp_path, env=env, check=True, timeout=120)
+            run.append(out.read_bytes())
+        outputs.append(run)
     assert outputs[0] == outputs[1] == outputs[2]

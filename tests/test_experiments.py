@@ -261,3 +261,39 @@ def test_fit_rate_slope_rejects_a_zero_median_risk():
     rows = synthetic_rows(lambda n: 0.0 if n == 200 else n ** -1.0)
     with pytest.raises(ValueError, match="median risk must be positive"):
         fit_rate_slope(rows)
+
+
+@pytest.mark.parametrize("field,typo", [("risk", "exakt"), ("weight_rule", "tau"),
+                                        ("fit_mode", "Dual")])
+def test_config_rejects_unknown_modes(field, typo):
+    with pytest.raises(ValueError, match=f"unknown {field} '{typo}'"):
+        make_config(**{field: typo})
+
+
+GAUSSIAN_CFG = dict(
+    pair={"family": "gaussian_scale", "tau_sq": 0.9},
+    kernel={"eigs": {"kind": "finite", "values": [1.0, 0.5, 0.25]},
+            "eigenfunctions": "hermite", "rank": 3, "kappa_sq": 10.0},
+    shift_grid=[0.9],
+)
+
+
+def test_clip_at_B_needs_a_B_bounded_pair():
+    cfg = make_config(**GAUSSIAN_CFG, estimator="reweighted", weight_rule="B")
+    with pytest.raises(ValueError, match="weight rule 'B' needs a B-bounded pair"):
+        run_risk_sweep(cfg)
+    # the rule is a weighting of the reweighted estimator only
+    assert all(r.status == "ok" for r in run_risk_sweep(
+        make_config(**GAUSSIAN_CFG, weight_rule="B", reps=1)))
+
+
+def test_exact_risk_needs_orthonormal_eigenfunctions_under_the_target():
+    # coordinate features on a Gaussian target: the coordinate distance is not the risk
+    cfg = make_config(
+        pair=GAUSSIAN_CFG["pair"], shift_grid=[0.9], risk="exact",
+        kernel={"eigs": {"kind": "finite", "values": [1.0]}, "eigenfunctions": "hypercube",
+                "rank": 1})
+    with pytest.raises(ValueError, match="exact risk needs eigenfunctions orthonormal"):
+        run_risk_sweep(cfg)
+    assert all(r.status == "ok" for r in run_risk_sweep(
+        make_config(**GAUSSIAN_CFG, risk="exact", reps=1)))
