@@ -4,6 +4,7 @@ from .bounds import (
     BoundReport,
     expectation_bound,
     krr_bound,
+    krr_bound_curve,
     lambda_rule_finite_rank,
     lambda_rule_poly,
     lambda_star,

@@ -6,14 +6,14 @@ lambda tuning rules for finite-rank and polynomially decaying spectra, the
 minimax lower-bound functional, the truncated-reweighted rates, the
 unweighted bound under unbounded ratios, and the in-expectation KRR bound.
 Symbolic universal constants are explicit arguments with documented
-defaults, and every report echoes its inputs.
+defaults.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,6 @@ class BoundReport:
     bias_sq: float
     variance: float
     extra: float = 0.0
-    config: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -58,23 +57,25 @@ def krr_bound(
         raise ValueError("invalid krr_bound arguments")
     bias_sq = 4.0 * lam * B * hnorm_sq
     variance = 80.0 * sigma_sq * B * math.log(n) / n * eigs.resolvent_sum(lam * B)
-    return BoundReport(
-        lambda_or_delta=lam,
-        bias_sq=bias_sq,
-        variance=variance,
-        config={"B": B, "n": n, "sigma_sq": sigma_sq, "hnorm_sq": hnorm_sq},
-    )
+    return BoundReport(lam, bias_sq, variance)
 
 
-def _bound_totals(
+def krr_bound_curve(
     eigs: EigenSequence,
     B: float,
     n: float,
     sigma_sq: float,
     hnorm_sq: float,
     grid: np.ndarray,
-) -> list[BoundReport]:
-    return [krr_bound(eigs, float(lam), B, n, sigma_sq, hnorm_sq) for lam in grid]
+) -> tuple[list[BoundReport], int]:
+    """``krr_bound`` at every grid lambda and the index of the smallest total.
+
+    Ties go to the first grid point holding the minimum.
+    """
+    if len(grid) == 0:
+        raise ValueError("lambda grid must be nonempty")
+    reports = [krr_bound(eigs, float(lam), B, n, sigma_sq, hnorm_sq) for lam in grid]
+    return reports, int(np.argmin([r.total for r in reports]))
 
 
 def lambda_star(
@@ -85,12 +86,9 @@ def lambda_star(
     hnorm_sq: float = 1.0,
     lambda_grid: Optional[np.ndarray] = None,
 ) -> tuple[float, BoundReport]:
-    """Grid argmin of the KRR bound total, ties broken toward smaller lambda."""
+    """Grid argmin of the KRR bound total; ties go to the first grid point."""
     grid = default_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda grid must be nonempty")
-    reports = _bound_totals(eigs, B, n, sigma_sq, hnorm_sq, grid)
-    k = int(np.argmin([r.total for r in reports]))
+    reports, k = krr_bound_curve(eigs, B, n, sigma_sq, hnorm_sq, grid)
     return float(grid[k]), reports[k]
 
 
@@ -204,13 +202,7 @@ def unbounded_unweighted_bound(
         raise ValueError("invalid unbounded bound arguments")
     bias_sq = 2.0 * math.sqrt(lam * V_sq * kappa_sq) * hnorm_sq
     variance = 40.0 * sigma_sq * math.log(n) / n * kappa_sq / lam
-    return BoundReport(
-        lambda_or_delta=lam,
-        bias_sq=bias_sq,
-        variance=variance,
-        config={"V_sq": V_sq, "kappa_sq": kappa_sq, "n": n,
-                "sigma_sq": sigma_sq, "hnorm_sq": hnorm_sq},
-    )
+    return BoundReport(lam, bias_sq, variance)
 
 
 def unbounded_lambda_star(
@@ -261,11 +253,4 @@ def expectation_bound(
     bias_sq = c2 * lam * B * hnorm_sq
     variance = c2 * sigma_sq * B / n * eigs.resolvent_sum(lam * B)
     extra = c2 * sigma_sq / n
-    return BoundReport(
-        lambda_or_delta=lam,
-        bias_sq=bias_sq,
-        variance=variance,
-        extra=extra,
-        config={"B": B, "n": n, "sigma_sq": sigma_sq, "kappa_sq": kappa_sq,
-                "hnorm_sq": hnorm_sq, "c1": c1, "c2": c2},
-    )
+    return BoundReport(lam, bias_sq, variance, extra)

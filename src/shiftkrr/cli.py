@@ -72,10 +72,14 @@ def _grid_from(cfg: dict) -> np.ndarray:
     return grid
 
 
+def _object(cfg: dict, key: str) -> dict:
+    if not isinstance(cfg.get(key), dict):
+        raise ConfigError(f"config needs a JSON object under '{key}'")
+    return cfg[key]
+
+
 def _eigs_from(cfg: dict) -> EigenSequence:
-    if "eigs" not in cfg:
-        raise ConfigError("config needs an 'eigs' entry")
-    return EigenSequence.from_json(cfg["eigs"])
+    return EigenSequence.from_json(_object(cfg, "eigs"))
 
 
 # subcommand handlers: merged config -> (header, rows) table or JSON document
@@ -84,10 +88,8 @@ def _eigs_from(cfg: dict) -> EigenSequence:
 def _cmd_fit(cfg: dict) -> dict:
     if not cfg.get("data"):
         raise ConfigError("fit needs a dataset CSV (--data or config 'data')")
-    if "kernel" not in cfg:
-        raise ConfigError("fit needs a 'kernel' entry in the config")
+    kernel = EigenKernel.from_json(_object(cfg, "kernel"))
     data = Dataset.from_csv(cfg["data"])
-    kernel = EigenKernel.from_json(cfg["kernel"])
     lam = _float(cfg, "lambda", 0.1)
     fit = fit_reweighted_krr if cfg.get("weighted", False) else fit_krr
     mode = cfg.get("mode", "dual")
@@ -103,11 +105,10 @@ def _bound_inputs(cfg: dict):
 def _cmd_bound_curve(cfg: dict):
     eigs, B, n, sigma_sq, hnorm_sq = _bound_inputs(cfg)
     header = ("lambda", "bias_sq", "variance", "total", "B", "n", "sigma_sq")
-    rows = []
-    for lam in _grid_from(cfg):
-        rep = bounds.krr_bound(eigs, float(lam), B, n, sigma_sq, hnorm_sq)
-        rows.append([float(lam), rep.bias_sq, rep.variance, rep.total, B, n, sigma_sq])
-    return header, rows
+    grid = _grid_from(cfg)
+    reports, _ = bounds.krr_bound_curve(eigs, B, n, sigma_sq, hnorm_sq, grid)
+    return header, [[float(lam), rep.bias_sq, rep.variance, rep.total, B, n, sigma_sq]
+                    for lam, rep in zip(grid, reports)]
 
 
 def _cmd_lambda_star(cfg: dict) -> dict:

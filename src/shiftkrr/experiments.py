@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bounds import (
-    _bound_totals,
+    krr_bound_curve,
     lambda_rule_finite_rank,
     lambda_rule_poly,
     reweighted_rate,
@@ -95,8 +95,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_list or not self.shift_grid:
             raise ValueError("n_list and shift_grid must be nonempty")
-        if not self.reps >= 1:  # also rejects NaN
-            raise ValueError("reps must be >= 1")
+        for name in ("reps", "n_mc"):
+            if not getattr(self, name) >= 1:  # also rejects NaN
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("radius", "truncation_scale"):
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and positive")
         if not (0 <= self.sigma_sq < math.inf and 0 <= self.hnorm_sq < math.inf):
             raise ValueError("sigma_sq and hnorm_sq must be finite and nonnegative")
         if not all(isinstance(getattr(self, f), dict)
@@ -112,8 +116,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:
@@ -224,6 +226,8 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
         pair = _build_pair(config.pair, float(config.shift_grid[bi]))
         b_or_v2 = pair.declared_B if pair.declared_B is not None else pair.declared_V_sq
         lam = _resolve_lambda(config.lambda_rule, n, pair, kernel, config.sigma_sq)
+        if not 0 < lam < math.inf:  # also rejects NaN
+            raise ValueError(f"lambda must be finite and positive, not {lam!r}")
         exact = config.risk != "mc" and (pair.family, kernel.family) in _EXACT_RISK_FAMILIES
         if config.risk == "exact" and not exact:
             raise ValueError(f"exact risk needs eigenfunctions orthonormal under the target: "
@@ -334,8 +338,7 @@ def figure1(
     grid = default_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
     rows = []
     for B in B_values:
-        reports = _bound_totals(eigs, float(B), n, sigma_sq, hnorm_sq, grid)
-        k = int(np.argmin([r.total for r in reports]))
+        reports, k = krr_bound_curve(eigs, float(B), n, sigma_sq, hnorm_sq, grid)
         for i, (lam, rep) in enumerate(zip(grid, reports)):
             rows.append([float(B), float(lam), rep.bias_sq, rep.variance,
                          rep.total, i == k])

@@ -17,9 +17,8 @@ evaluator plus declared B and/or V^2 constants.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,6 +82,8 @@ class Dataset:
                 if len(vals) != ncols:
                     raise ValueError(f"dataset CSV {path}: a row has {len(vals)} fields, "
                                      f"the header {ncols}")
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(f"dataset CSV {path}: a row holds a value that is not finite")
                 xs.append(vals[:d])
                 ys.append(vals[d])
                 if has_weight:
@@ -106,7 +107,6 @@ class ShiftPair:
     lr: Callable[[np.ndarray], np.ndarray]
     declared_B: Optional[float] = None
     declared_V_sq: Optional[float] = None
-    params: dict = field(default_factory=dict)
 
     def sample_source(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self._source(n, rng)
@@ -114,13 +114,8 @@ class ShiftPair:
     def sample_target(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self._target(n, rng)
 
-    def to_json(self) -> dict:
-        return {"family": self.family, **self.params}
-
     @classmethod
     def from_json(cls, obj) -> "ShiftPair":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         family = obj["family"]
         if family == "hypercube":
             return hypercube_hard_pair(int(obj["D"]), float(obj.get("B", 1.0)))
@@ -201,7 +196,6 @@ def hypercube_hard_pair(D: int, B: float) -> ShiftPair:
         lr=lr,
         declared_B=float(B),
         declared_V_sq=float(B),
-        params={"D": D, "B": float(B)},
     )
 
 
@@ -239,7 +233,6 @@ def gaussian_scale_pair(tau_sq: float) -> ShiftPair:
         lr=lr,
         declared_B=None,
         declared_V_sq=v_sq,
-        params={"tau_sq": float(tau_sq)},
     )
 
 

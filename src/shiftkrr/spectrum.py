@@ -18,7 +18,6 @@ known truncation error.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable, Optional, Sequence
 
@@ -127,8 +126,6 @@ class EigenSequence:
 
     @classmethod
     def from_json(cls, obj) -> "EigenSequence":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         kind = obj["kind"]
         if kind == "poly":
             return cls.poly_decay(obj["alpha"], obj.get("c", 1.0), obj.get("j_max", DEFAULT_J_MAX))
@@ -470,8 +467,6 @@ class EigenKernel:
 
     @classmethod
     def from_json(cls, obj) -> "EigenKernel":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(
             EigenSequence.from_json(obj["eigs"]),
             obj.get("eigenfunctions", "hypercube"),

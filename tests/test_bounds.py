@@ -6,6 +6,7 @@ import pytest
 from shiftkrr.bounds import (
     expectation_bound,
     krr_bound,
+    krr_bound_curve,
     lambda_rule_finite_rank,
     lambda_rule_poly,
     lambda_star,
@@ -236,3 +237,30 @@ def test_nan_argument_is_rejected(fn, kwargs, arg):
     assert math.isfinite(valid if isinstance(valid, float) else valid.total)
     with pytest.raises(ValueError):
         fn(**{**kwargs, arg: float("nan")})
+
+
+@pytest.mark.parametrize("eigs", [POLY1, EigenSequence.finite_rank([1.0, 0.3, 0.05]),
+                                  EigenSequence.explicit([0.9, 0.5, 0.2, 0.1])],
+                         ids=["poly", "finite", "explicit"])
+def test_krr_bound_curve_is_krr_bound_at_every_grid_point(eigs):
+    grid = default_grid(1e-6, 10.0, 57)
+    reports, k = krr_bound_curve(eigs, 3.0, 2000, 0.7, 1.3, grid)
+    assert reports == [krr_bound(eigs, float(lam), 3.0, 2000, 0.7, 1.3) for lam in grid]
+    totals = [r.total for r in reports]
+    assert totals[k] == min(totals)
+    assert lambda_star(eigs, 3.0, 2000, 0.7, 1.3, grid) == (float(grid[k]), reports[k])
+
+
+def test_krr_bound_curve_ties_go_to_the_first_grid_point():
+    grid = default_grid(1e-5, 1.0, 40)
+    _, k = krr_bound_curve(POLY1, 5.0, 8000, 1.0, 1.0, grid)
+    # every point twice, in two orders: the first copy of the minimizer wins
+    for doubled, first in ((np.concatenate([grid, grid]), k), (np.repeat(grid, 2), 2 * k)):
+        reports, k2 = krr_bound_curve(POLY1, 5.0, 8000, 1.0, 1.0, doubled)
+        assert k2 == first
+        assert lambda_star(POLY1, 5.0, 8000, lambda_grid=doubled) == (float(grid[k]), reports[k2])
+
+
+def test_krr_bound_curve_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="lambda grid must be nonempty"):
+        krr_bound_curve(POLY1, 2.0, 1000, 1.0, 1.0, np.array([]))

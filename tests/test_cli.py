@@ -123,14 +123,16 @@ def test_config_error_exit_codes(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
+    # two opposite points span one feature direction: at lambda = 1e-300 the
+    # dual's 2 x 2 matrix is singular in floating point and its Cholesky fails
     xs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    ys = np.array([np.nan, 1.0])
-    data_path = tmp_path / "nan.csv"
+    ys = np.array([0.5, 1.0])
+    data_path = tmp_path / "singular.csv"
     Dataset(xs, ys).to_csv(str(data_path))
     cfg = write_cfg(tmp_path, "fit.json", {
         "kernel": {"eigs": {"kind": "finite", "values": [1.0, 0.5]},
                    "eigenfunctions": "hypercube", "rank": 2},
-        "lambda": 0.1,
+        "lambda": 1e-300,
     })
     assert main(["fit", "--config", cfg, "--data", str(data_path),
                  "--out", str(tmp_path / "m.json")]) == 3

@@ -158,8 +158,48 @@ GAUSSIAN_PAIR = {"pair": {"family": "gaussian_scale", "tau_sq": 0.9}, "shift_gri
     ({**SWEEP, **GAUSSIAN_PAIR, "risk": "exact",
       "kernel": {"eigs": {"kind": "finite", "values": [1.0]}, "rank": 1}},
      "exact risk needs eigenfunctions orthonormal"),
-], ids=["risk", "weight_rule", "fit_mode", "clip-at-B-unbounded", "exact-not-orthonormal"])
+    ({**SWEEP, "risk": "mc", "n_mc": 0}, "n_mc must be >= 1"),
+    ({**SWEEP, "estimator": "erm", "radius": float("nan")}, "radius must be finite and positive"),
+    ({**SWEEP, "estimator": "reweighted", "truncation_scale": float("nan")},
+     "truncation_scale must be finite and positive"),
+    ({**SWEEP, "lambda_rule": {"rule": "fixed", "value": float("nan")}},
+     "lambda must be finite and positive"),
+    ({**SWEEP, "lambda_rule": {"rule": "fixed", "value": 0.0}},
+     "lambda must be finite and positive"),
+], ids=["risk", "weight_rule", "fit_mode", "clip-at-B-unbounded", "exact-not-orthonormal",
+        "n_mc-0", "radius-nan", "truncation_scale-nan", "lambda-nan", "lambda-0"])
 def test_sweep_config_typos_exit_2(tmp_path, monkeypatch, capsys, cfg, message):
     assert run(tmp_path, monkeypatch, ["simulate-risk"], cfg) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,cfg", [
+    ("bound-curve", {"eigs": POLY, "grid": []}),
+    ("lambda-star", {"eigs": POLY, "grid": []}),
+    ("figure1", {"grid": []}),
+])
+def test_empty_lambda_grid_exits_2_with_one_message(tmp_path, monkeypatch, capsys, cmd, cfg):
+    assert run(tmp_path, monkeypatch, [cmd], cfg) == 2
+    assert capsys.readouterr().err == "config error: lambda grid must be nonempty\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,cfg,files", [
+    ("lambda-star", {"eigs": json.dumps(POLY)}, {}),
+    ("fit", {"kernel": json.dumps(KERNEL), "data": "d.csv"}, {"d.csv": DATA}),
+], ids=["eigs", "kernel"])
+def test_sub_object_given_as_json_text_exits_2(tmp_path, monkeypatch, capsys, cmd, cfg, files):
+    assert run(tmp_path, monkeypatch, [cmd], cfg, files) == 2
+    assert capsys.readouterr().err.startswith("config error: config needs a JSON object under")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+@pytest.mark.parametrize("row", ["1,1,nan,1", "inf,1,0.5,1"])
+def test_fit_data_that_is_not_finite_exits_2_naming_the_file(tmp_path, monkeypatch, capsys,
+                                                             mode, row):
+    cfg = {"kernel": KERNEL, "data": "d.csv", "mode": mode}
+    assert run(tmp_path, monkeypatch, ["fit"], cfg, {"d.csv": DATA + row + "\n"}) == 2
+    assert capsys.readouterr().err.startswith("config error: dataset CSV d.csv:")
     assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftkrr.estimators import RidgeCore, fit_krr, fit_reweighted_krr
@@ -31,6 +31,8 @@ def normal_equations_theta(data, kernel, lam, weights):
 
 
 @settings(max_examples=60, deadline=None)
+@example(seed=1, n=40, log_lam=-4.0, weighting="positive")
+@example(seed=594, n=40, log_lam=-4.8077806745757, weighting="some zero")
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=2, max_value=40),
        log_lam=st.floats(min_value=-5.0, max_value=0.0),
@@ -51,8 +53,12 @@ def test_dual_agrees_with_normal_equations_when_rank_exceeds_n(seed, n, log_lam,
         model = fit_reweighted_krr(Dataset(xs, ys, weights), kernel, lam, mode="dual")
     expected = normal_equations_theta(Dataset(xs, ys), kernel, lam, weights)
     assert np.linalg.norm(model.theta - expected) <= 1e-9 * np.linalg.norm(expected)
-    # alpha carries the same function: theta = M F^T alpha, zero where the weight is
-    assert np.allclose(kernel.mu * (xs.T @ model.alpha), model.theta, rtol=1e-12, atol=1e-14)
+    # alpha carries the same function: theta = M F^T alpha, zero where the weight is.
+    # Both sides are sums of n products, so they agree to the rounding bound of a
+    # dot product of that length; |alpha| can exceed |theta| by orders of magnitude.
+    gap = np.abs(kernel.mu * (xs.T @ model.alpha) - model.theta)
+    scale = kernel.mu * (np.abs(xs).T @ np.abs(model.alpha))
+    assert np.all(gap <= 2 * n * np.finfo(float).eps * scale)
     if weights is not None:
         assert np.all(model.alpha[weights == 0] == 0.0)
 

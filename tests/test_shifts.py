@@ -209,3 +209,11 @@ def test_dataset_validation_and_csv(tmp_path):
     assert np.array_equal(back.xs, data.xs)
     assert np.array_equal(back.ys, data.ys)
     assert np.array_equal(back.weights, data.weights)
+
+
+@pytest.mark.parametrize("row", ["nan,1,0.5,1", "1,inf,0.5,1", "1,1,nan,1", "1,1,-inf,1"])
+def test_dataset_csv_with_a_value_that_is_not_finite_is_refused(tmp_path, row):
+    path = tmp_path / "d.csv"
+    path.write_text(f"x_1,x_2,y,weight\n1,-1,0.5,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"dataset CSV {path}: .* not finite"):
+        Dataset.from_csv(str(path))
