@@ -1,7 +1,7 @@
 """Kernel regression estimators: ridge, reweighted ridge, and norm-constrained.
 
-Every primal fit comes from one core.  ``RidgeCore`` reduces a dataset
-to its weighted ridge statistics in the kernel's eigen-coordinates,
+Every fit comes from one core.  ``RidgeCore`` reduces a dataset to its
+weighted ridge statistics in the kernel's eigen-coordinates,
 G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and eigendecomposes
 G once.  Ridge and reweighted ridge at any lam, and the norm-constrained
 ERM through the ball-constrained quadratic ``ball_quadratic_min``, are
@@ -10,10 +10,10 @@ one dataset forms one Gram matrix.
 
 Ridge and reweighted ridge also have a ``dual`` mode, with coefficients
 alpha over the training points from the regularized kernel system.  It
-is the path for kernels whose rank exceeds n, and an independent check
-on the core.  It works from the scaled feature matrix and factors one
-n x n matrix; the kernel matrix itself is never formed.  ERM is the
-ridge fit at its multiplier, so every fit passes one stationarity check.
+solves that system through the same eigendecomposition, by the Woodbury
+identity on the scaled features; neither the kernel matrix nor any
+n x n array is formed.  ERM is the ridge fit at its multiplier, so every
+fit passes one stationarity check.
 
 Fitted models always carry their eigen-coordinates, so predictions,
 Hilbert norms, and exact L2(Q) errors are cheap regardless of mode.
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import linalg as sla
 
 from .seeding import rng_for
 from .shifts import Dataset, ShiftPair
@@ -90,41 +89,6 @@ def _check_residual(res: np.ndarray, rhs: np.ndarray) -> None:
         )
 
 
-def _fit_dual(data: Dataset, kernel: EigenKernel, lam: float,
-              weights: Optional[np.ndarray]) -> FittedModel:
-    """Solve (W K + n lam I) alpha = W y through its symmetric form, without K.
-
-    A zero weight forces alpha_i = 0, so only the rows with positive weight
-    enter.  With S = W^(1/2) on those rows and Fs = S F M^(1/2), the system
-    is (Fs Fs^T + n lam I) beta = S y with alpha = S beta, and that one
-    n x n matrix is factored in place.  The residual of the unsymmetric
-    system over the kept rows, S((Fs Fs^T + n lam I) beta - S y), is
-    checked through Fs; on the dropped rows it vanishes identically.
-    theta = M^(1/2) Fs^T beta = M F^T alpha.
-    """
-    n = len(data)
-    w = np.ones(n) if weights is None else weights
-    keep = w > 0
-    s = np.sqrt(w[keep])
-    sqrt_mu = np.sqrt(kernel.mu)
-    Fs = kernel.feature_matrix(data.xs[keep]) * sqrt_mu * s[:, None]
-    rhs = s * data.ys[keep]
-    A = Fs @ Fs.T
-    A[np.diag_indices_from(A)] += n * lam
-    try:
-        # A is symmetric, so A.T is the Fortran-ordered view LAPACK factors without a copy
-        cf = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise FactorizationError(f"factorization failed: {err}") from err
-    beta = sla.cho_solve(cf, rhs, check_finite=False)
-    beta += sla.cho_solve(cf, rhs - Fs @ (Fs.T @ beta) - n * lam * beta, check_finite=False)
-    _check_residual(s * (Fs @ (Fs.T @ beta) + n * lam * beta - rhs), s * rhs)
-    alpha = np.zeros(n)
-    alpha[keep] = s * beta
-    return FittedModel(mode="dual", kernel=kernel, theta=sqrt_mu * (Fs.T @ beta),
-                       lam=lam, alpha=alpha)
-
-
 def ball_quadratic_min(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
     """Minimize u^T diag(a) u - 2 b^T u over the ball ||u|| <= radius, for a >= 0.
 
@@ -176,7 +140,7 @@ def ball_quadratic_min(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.
 
 
 class RidgeCore:
-    """Ridge statistics of one dataset, shared by every primal fit on it.
+    """Ridge statistics of one dataset, shared by every fit on it.
 
     Over the kernel's nonzero eigenvalues M, with raw features F and
     weights W (unit by default), the dataset reduces to
@@ -184,7 +148,7 @@ class RidgeCore:
     eigendecomposition G = U diag(s) U^T gives every ridge solution
     z(xi) = U diag(1/(s + n xi)) U^T c, with theta = M^(1/2) z.  M^(1/2)
     is applied after the product, so unweighted data make no n x D copy
-    of the features.
+    of the features.  The core keeps W^(1/2) F and W^(1/2) y for the dual.
     """
 
     def __init__(self, data: Dataset, kernel: EigenKernel,
@@ -194,10 +158,11 @@ class RidgeCore:
         if not np.all(active):
             F = F[:, active]
         ys = data.ys
+        self._root_w = None if weights is None else np.sqrt(weights)
         if weights is not None:
-            root_w = np.sqrt(weights)
-            F = F * root_w[:, None]
-            ys = root_w * ys
+            F = F * self._root_w[:, None]
+            ys = self._root_w * ys
+        self._F, self._y = F, ys
         self._factor(kernel, len(data), F.T @ F, F.T @ ys)
 
     @classmethod
@@ -210,6 +175,7 @@ class RidgeCore:
         precision) reach the same eigendecomposition as the constructor.
         """
         core = cls.__new__(cls)
+        core._F = None
         core._factor(kernel, n, FtWF, FtWy)
         return core
 
@@ -229,10 +195,11 @@ class RidgeCore:
         self.s = np.clip(s, 0.0, None)
         self.ct = self.U.T @ self.c
 
-    def _model(self, z: np.ndarray, lam: float) -> FittedModel:
+    def _model(self, z: np.ndarray, lam: float, alpha: Optional[np.ndarray] = None) -> FittedModel:
         theta = np.zeros(self.kernel.rank)
         theta[self.active] = self.sqrt_mu * z
-        return FittedModel(mode="primal", kernel=self.kernel, theta=theta, lam=lam)
+        return FittedModel(mode="primal" if alpha is None else "dual", kernel=self.kernel,
+                           theta=theta, lam=lam, alpha=alpha)
 
     def fit_ridge(self, lam: float) -> FittedModel:
         """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c."""
@@ -242,6 +209,37 @@ class RidgeCore:
         z = self.U @ (self.ct / (self.s + nlam))
         _check_residual(self.G @ z + nlam * z - self.c, self.c)
         return self._model(z, lam)
+
+    def fit_dual(self, lam: float) -> FittedModel:
+        """The dual fit at level lam, from (W K + n lam I) alpha = W y without K.
+
+        With S = W^(1/2) and Fs = S F M^(1/2), so that G = Fs^T Fs, the
+        system is (Fs Fs^T + n lam I) beta = S y with alpha = S beta.  The
+        Woodbury identity inverts it through G's eigendecomposition,
+        (Fs Fs^T + n lam I)^(-1) v = (v - Fs U diag(1/(s + n lam)) U^T Fs^T v) / (n lam),
+        and two refinement steps follow; then the residual of the
+        unsymmetric system, S((Fs Fs^T + n lam I) beta - S y), is checked.
+        A zero weight zeroes its row of Fs and of S y, so its alpha is 0.
+        theta = M^(1/2) Fs^T beta = M F^T alpha.
+        """
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        if self._F is None:
+            raise ValueError("a core built from moments has no dual fit")
+        nlam = self.n * lam
+        Fs, rhs = self._F * self.sqrt_mu, self._y
+        root_w = 1.0 if self._root_w is None else self._root_w
+
+        def solve(v):
+            return (v - Fs @ (self.U @ ((self.U.T @ (Fs.T @ v)) / (self.s + nlam)))) / nlam
+
+        # a lam small enough to overflow the solve fails the NaN-safe check instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = solve(rhs)
+            for _ in range(2):
+                beta += solve(rhs - Fs @ (Fs.T @ beta) - nlam * beta)
+            _check_residual(root_w * (Fs @ (Fs.T @ beta) + nlam * beta - rhs), root_w * rhs)
+        return self._model(Fs.T @ beta, lam, alpha=root_w * beta)
 
     def fit_constrained(self, radius: float) -> FittedModel:
         """ERM over the Hilbert ball (see ``fit_constrained_erm``): the ridge fit at its multiplier."""
@@ -264,11 +262,10 @@ def _fit_ridge(data: Dataset, kernel: EigenKernel, lam: float, mode: str,
         raise ValueError("lam must be positive")
     if len(data) < 1:
         raise ValueError("need at least one observation")
-    if mode == "dual":
-        return _fit_dual(data, kernel, lam, weights)
-    if mode == "primal":
-        return RidgeCore(data, kernel, weights).fit_ridge(lam)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("dual", "primal"):
+        raise ValueError(f"unknown mode {mode!r}")
+    core = RidgeCore(data, kernel, weights)
+    return core.fit_dual(lam) if mode == "dual" else core.fit_ridge(lam)
 
 
 def fit_krr(data: Dataset, kernel: EigenKernel, lam: float, mode: str = "dual") -> FittedModel:

@@ -467,6 +467,8 @@ class EigenKernel:
 
     @classmethod
     def from_json(cls, obj) -> "EigenKernel":
+        if not isinstance(obj["eigs"], dict):
+            raise ValueError("config needs a JSON object under 'eigs'")
         return cls(
             EigenSequence.from_json(obj["eigs"]),
             obj.get("eigenfunctions", "hypercube"),

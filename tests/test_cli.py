@@ -124,7 +124,7 @@ def test_config_error_exit_codes(tmp_path):
 
 def test_numerical_failure_exit_code(tmp_path):
     # two opposite points span one feature direction: at lambda = 1e-300 the
-    # dual's 2 x 2 matrix is singular in floating point and its Cholesky fails
+    # dual's solve overflows off that direction and fails the stationarity check
     xs = np.array([[1.0, -1.0], [-1.0, 1.0]])
     ys = np.array([0.5, 1.0])
     data_path = tmp_path / "singular.csv"

@@ -188,7 +188,11 @@ def test_empty_lambda_grid_exits_2_with_one_message(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("cmd,cfg,files", [
     ("lambda-star", {"eigs": json.dumps(POLY)}, {}),
     ("fit", {"kernel": json.dumps(KERNEL), "data": "d.csv"}, {"d.csv": DATA}),
-], ids=["eigs", "kernel"])
+    ("fit", {"kernel": {**KERNEL, "eigs": json.dumps(KERNEL["eigs"])}, "data": "d.csv"},
+     {"d.csv": DATA}),
+    ("fit", {"kernel": {**KERNEL, "eigs": [1.0, 0.5]}, "data": "d.csv"}, {"d.csv": DATA}),
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "eigs": json.dumps(POLY)}}, {}),
+], ids=["eigs", "kernel", "kernel-eigs", "kernel-eigs-list", "sweep-kernel-eigs"])
 def test_sub_object_given_as_json_text_exits_2(tmp_path, monkeypatch, capsys, cmd, cfg, files):
     assert run(tmp_path, monkeypatch, [cmd], cfg, files) == 2
     assert capsys.readouterr().err.startswith("config error: config needs a JSON object under")

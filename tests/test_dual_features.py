@@ -1,18 +1,24 @@
 """The dual ridge fit from the feature matrix, and ERM as the ridge fit at its multiplier.
 
-The dual factors one n x n matrix built from the scaled features and never
-forms the kernel matrix; it must agree with the feature-space normal
-equations also where the kernel rank exceeds n, the case the dual exists
-for.  Constrained ERM is the ridge fit of the same core at its multiplier.
+The dual solves through the core's eigendecomposition of the scaled
+features and forms neither the kernel matrix nor any n x n array; it must
+agree with the feature-space normal equations also where the kernel rank
+exceeds n.  Constrained ERM is the ridge fit of the same core at its multiplier.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shiftkrr
 from shiftkrr.estimators import RidgeCore, fit_krr, fit_reweighted_krr
 from shiftkrr.hard_instance import hard_pair_moments
 from shiftkrr.seeding import rng_for
@@ -114,3 +120,82 @@ def test_constrained_fit_is_the_ridge_fit_at_its_multiplier(seed, radius):
     ridge = core.fit_ridge(erm.lam)
     assert erm.mode == ridge.mode == "primal"
     assert np.array_equal(erm.theta, ridge.theta)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dual_fit_holds_no_n_by_n_array(weighted):
+    n, D = 3000, 16
+    rng = np.random.default_rng(3)
+    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=D)
+    xs = rng.integers(0, 2, size=(n, D)).astype(float) * 2 - 1
+    data = Dataset(xs, rng.normal(size=n), rng.uniform(0.5, 2.0, size=n) if weighted else None)
+    fit = fit_reweighted_krr if weighted else fit_krr
+    tracemalloc.start()
+    try:
+        fit(data, kernel, 0.01, mode="dual")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * D * 8
+
+
+def test_dual_fit_decomposes_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    rng = np.random.default_rng(6)
+    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=8)
+    xs = rng.integers(0, 2, size=(200, 8)).astype(float) * 2 - 1
+    fit_reweighted_krr(Dataset(xs, rng.normal(size=200), rng.uniform(0.0, 2.0, size=200)),
+                       kernel, 0.05, mode="dual")
+    assert calls == [(8, 8)]
+
+
+def test_dual_refines_to_the_normal_equations_at_tiny_lambda():
+    # noiseless, full rank, lam = 1e-10: one refinement step of the Woodbury
+    # solve leaves theta about 1e-9 from the normal equations, two about 6e-14
+    rng = np.random.default_rng(302)
+    D, n, lam = 5, 30, 1e-10
+    kernel = EigenKernel(EigenSequence.finite_rank(np.sort(rng.uniform(0.05, 2.0, D))[::-1]),
+                         "hypercube", rank=D)
+    xs = rng.integers(0, 2, size=(n, D)).astype(float) * 2 - 1
+    data = Dataset(xs, xs @ rng.normal(size=D))
+    expected = normal_equations_theta(data, kernel, lam, None)
+    theta = fit_krr(data, kernel, lam, mode="dual").theta
+    assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from shiftkrr.cli import main
+from shiftkrr.estimators import fit_krr, fit_reweighted_krr
+from shiftkrr.experiments import ExperimentConfig, run_risk_sweep
+from shiftkrr.shifts import Dataset
+from shiftkrr.spectrum import EigenKernel, EigenSequence
+
+rng = np.random.default_rng(7)
+kernel = {"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube", "rank": 8}
+xs = rng.integers(0, 2, size=(60, 8)).astype(float) * 2 - 1
+data = Dataset(xs, xs[:, 0] + rng.normal(size=60), rng.uniform(0.0, 2.0, size=60))
+fit_krr(data, EigenKernel.from_json(kernel), 0.01, mode="dual")
+fit_reweighted_krr(data, EigenKernel.from_json(kernel), 0.01, mode="dual")
+rows = run_risk_sweep(ExperimentConfig(
+    pair={"family": "hypercube", "D": 8}, kernel=kernel, estimator="reweighted",
+    lambda_rule={"rule": "poly", "alpha": 1.0}, weight_rule="tau_n", fit_mode="dual",
+    n_list=[50, 100], shift_grid=[2.0], reps=2, seed=1, threads=1))
+assert all(r.status == "ok" for r in rows)
+data.to_csv("d.csv")
+json.dump({"kernel": kernel, "lambda": 0.01, "mode": "dual", "weighted": True},
+          open("fit.json", "w"))
+sys.exit(main(["fit", "--config", "fit.json", "--data", "d.csv", "--out", "m.json"]))
+"""
+
+
+def test_dual_fits_run_without_scipy(tmp_path):
+    src = str(Path(shiftkrr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=env, check=True,
+                   timeout=120)
+    assert json.loads((tmp_path / "m.json").read_text())["mode"] == "dual"

@@ -66,7 +66,7 @@ def test_figure2_is_independent_of_threads():
 
 
 def test_weighted_dual_sweep_is_independent_of_threads():
-    # the dual path factorizes through scipy's OpenBLAS, so both libraries are pinned
+    # the weighted dual path runs its products through OpenBLAS, which the executor pins
     cfg = dict(
         pair={"family": "hypercube", "D": 16},
         kernel={"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube",
@@ -102,7 +102,7 @@ def test_erm_failure_bytes_do_not_depend_on_openblas_threads(tmp_path):
 
 
 def test_dual_fit_and_sweep_bytes_do_not_depend_on_openblas_threads(tmp_path):
-    # a weighted dual fit on 2000 rows factors a matrix large enough for threaded BLAS
+    # a weighted dual fit on 2000 rows runs products large enough for threaded BLAS
     rng = np.random.default_rng(5)
     n, D = 2000, 64
     xs = rng.choice([-1.0, 1.0], size=(n, D))
