@@ -58,6 +58,7 @@ from .shifts import (
 from .spectrum import (
     EigenKernel,
     EigenSequence,
+    NumericalError,
     TruncationExceeded,
     critical_radius,
     default_grid,

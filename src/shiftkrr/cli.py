@@ -31,7 +31,8 @@ from . import bounds, experiments, hard_instance, spectrum
 from .estimators import FactorizationError, ProjectionError, fit_krr, fit_reweighted_krr
 from .seeding import map_units
 from .shifts import Dataset
-from .spectrum import EigenKernel, EigenSequence, TruncationExceeded, default_grid
+from .spectrum import (EigenKernel, EigenSequence, NumericalError, TruncationExceeded,
+                       default_grid)
 
 
 class ConfigError(ValueError):
@@ -256,13 +257,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             experiments.write_json(args.out, {"rows": [dict(zip(header, r)) for r in rows]})
         else:
             experiments.write_csv(args.out, *result)
-    except (ConfigError, ValueError, TypeError, KeyError, OSError, OverflowError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (FactorizationError, ProjectionError, TruncationExceeded,
+    # before the config clause: NumericalError and LinAlgError are ValueErrors too
+    except (NumericalError, FactorizationError, ProjectionError, TruncationExceeded,
             FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    except (ConfigError, ValueError, TypeError, KeyError, OSError, OverflowError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -14,16 +14,25 @@ mu_j for j <= ``j_max`` (default 10**6) and its tail is the integral bound
 expression over the head's suffix sums, the tail and an exact count of
 the eigenvalues above a level, so every output is deterministic with a
 known truncation error.
+
+A poly head (mu_1..mu_J and both suffix sums, 24 * j_max bytes) is
+shared per (alpha, c, j_max) per process and read-only: every sequence
+with that key reads the same arrays, and the ``HEAD_CACHE_SIZE`` most
+recently used heads stay alive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_J_MAX = 10**6
+
+#: number of poly heads (alpha, c, j_max) kept alive per process.
+HEAD_CACHE_SIZE = 4
 
 #: log-spaced default grid used for delta and lambda searches.
 DEFAULT_GRID_MIN = 1e-4
@@ -33,6 +42,10 @@ DEFAULT_GRID_POINTS = 400
 
 class TruncationExceeded(RuntimeError):
     """An index-valued functional fell beyond the truncation point j_max."""
+
+
+class NumericalError(ValueError, RuntimeError):
+    """A well-formed computation has no answer, such as a root search with no root on its grid."""
 
 
 def default_grid(
@@ -56,8 +69,9 @@ class EigenSequence:
 
     ``finite`` and ``explicit`` differ only in their JSON.  The sums run
     over a head of ``length`` terms (the list, or mu_1..mu_{j_max} for
-    poly decay, built at the first sum that needs it) plus an analytic
-    tail beyond it (0 for a list).
+    poly decay) plus an analytic tail beyond it (0 for a list).  A poly
+    head is shared per (alpha, c, j_max) per process and read-only: 24 *
+    j_max bytes for mu and its two suffix sums.
     """
 
     def __init__(
@@ -96,10 +110,8 @@ class EigenSequence:
             self.values = vals
             self.length = len(vals)
             self._tail = 0.0
-        # the head and its suffix sums, built at the first sum that needs them
-        self._mu_head: Optional[np.ndarray] = None
-        self._suf_mu: Optional[np.ndarray] = None
-        self._suf_mu2: Optional[np.ndarray] = None
+        # a list's head, built at its first sum; a poly head lives in _poly_head
+        self._mu_head: Optional[_Head] = None
 
     # ---- constructors -------------------------------------------------
 
@@ -157,7 +169,7 @@ class EigenSequence:
     def leading(self, m: int) -> np.ndarray:
         """First m eigenvalues as an array."""
         if self.kind == "poly":
-            return self.c * np.arange(1, m + 1, dtype=float) ** (-2.0 * self.alpha)
+            return _poly_values(self.alpha, self.c, m)
         out = np.zeros(m)
         k = min(m, len(self.values))
         out[:k] = self.values[:k]
@@ -183,14 +195,11 @@ class EigenSequence:
 
     # ---- spectral sums ---------------------------------------------------
 
-    def _head(self) -> np.ndarray:
+    def _head(self) -> _Head:
+        if self.kind == "poly":
+            return _poly_head(self.alpha, self.c, self.j_max)
         if self._mu_head is None:
-            mu = self.leading(self.length)
-            self._mu_head = mu
-            # suffix sums, accumulated small-to-large so that tiny tails are
-            # not lost to cancellation: _suf_mu[k] = sum_{j > k} mu_j
-            self._suf_mu = np.concatenate((np.cumsum(mu[::-1])[::-1], [0.0]))
-            self._suf_mu2 = np.concatenate((np.cumsum((mu * mu)[::-1])[::-1], [0.0]))
+            self._mu_head = _Head.of(self.values)
         return self._mu_head
 
     def trace(self) -> float:
@@ -199,8 +208,7 @@ class EigenSequence:
 
     def tail_sum(self, j0: int) -> float:
         """sum_{j > j0} mu_j: the head's suffix sum plus the analytic tail."""
-        self._head()
-        return float(self._suf_mu[min(j0, self.length)]) + self._tail
+        return float(self._head().suf_mu[min(j0, self.length)]) + self._tail
 
     def resolvent_sum(self, s: float) -> float:
         """sum_j mu_j / (mu_j + s) for s > 0.
@@ -212,15 +220,51 @@ class EigenSequence:
         """
         if not s > 0:  # also rejects NaN
             raise ValueError("resolvent shift must be positive")
-        mu = self._head()
+        mu, suf_mu, suf_mu2 = self._head()
         if self.rank is not None:
             return float(np.sum(mu / (mu + s)))
         jc = self.count_at_least(1e-4 * s)
         head = float(np.sum(mu[:jc] / (mu[:jc] + s)))
-        s1 = float(self._suf_mu[jc])
-        s2 = float(self._suf_mu2[jc])
+        s1 = float(suf_mu[jc])
+        s2 = float(suf_mu2[jc])
         mid = s1 / s - s2 / s / s  # never forms s * s, which underflows
         return head + mid + self._tail / s
+
+
+class _Head(NamedTuple):
+    """mu_1..mu_J and its suffix sums: suf_mu[k] = sum_{j > k} mu_j, suf_mu2 likewise of mu^2."""
+
+    mu: np.ndarray
+    suf_mu: np.ndarray
+    suf_mu2: np.ndarray
+
+    @classmethod
+    def of(cls, mu: np.ndarray) -> "_Head":
+        # each suffix sum is accumulated small-to-large, so that tiny tails are
+        # not lost to cancellation, straight into its array: no temporaries
+        suf_mu = np.zeros(len(mu) + 1)
+        np.cumsum(mu[::-1], out=suf_mu[-2::-1])
+        suf_mu2 = np.zeros(len(mu) + 1)
+        np.multiply(mu, mu, out=suf_mu2[:-1])
+        np.cumsum(suf_mu2[-2::-1], out=suf_mu2[-2::-1])
+        return cls(mu, suf_mu, suf_mu2)
+
+
+def _poly_values(alpha: float, c: float, m: int) -> np.ndarray:
+    """mu_j = c * j^(-2 alpha) for j = 1..m, computed in one array."""
+    mu = np.arange(1, m + 1, dtype=float)
+    np.power(mu, -2.0 * alpha, out=mu)
+    np.multiply(c, mu, out=mu)
+    return mu
+
+
+@functools.lru_cache(maxsize=HEAD_CACHE_SIZE)
+def _poly_head(alpha: float, c: float, j_max: int) -> _Head:
+    """The head of (alpha, c, j_max), built once and frozen, since every such sequence reads it."""
+    head = _Head.of(_poly_values(alpha, c, j_max))
+    for arr in head:
+        arr.flags.writeable = False
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +375,7 @@ def critical_radius(
 
     Raises
     ------
-    ValueError
+    NumericalError
         With message "no solution on grid" when even the largest grid
         point fails the inequality.
     """
@@ -344,7 +388,7 @@ def critical_radius(
         m = m_function(eigs, float(delta), sigma_sq, V_sq, n, hnorm_sq, c0, general_noise)
         if m <= delta * delta / 2.0:
             return float(delta)
-    raise ValueError("no solution on grid")
+    raise NumericalError("no solution on grid")
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +471,9 @@ class EigenKernel:
         if self.rank < 1:
             raise ValueError("kernel rank must be >= 1")
         self.mu = eigs.leading(self.rank)
-        # a poly trace is positive but builds the 10^6-element partial-sum
-        # caches, so it waits until kappa_sq is first read
+        # a poly trace is positive but reads the shared head, which costs
+        # 24 * j_max bytes to build; it waits until kappa_sq is first read, so
+        # processes that only fit (erm-failure, figure2) build no head at all
         if kappa_sq is not None:
             self._kappa_sq = float(kappa_sq)
         else:

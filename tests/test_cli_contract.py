@@ -207,3 +207,10 @@ def test_fit_data_that_is_not_finite_exits_2_naming_the_file(tmp_path, monkeypat
     assert run(tmp_path, monkeypatch, ["fit"], cfg, {"d.csv": DATA + row + "\n"}) == 2
     assert capsys.readouterr().err.startswith("config error: dataset CSV d.csv:")
     assert not (tmp_path / "out").exists()
+
+
+def test_critical_radius_with_no_root_on_its_grid_exits_3(tmp_path, monkeypatch, capsys):
+    cfg = {"eigs": POLY, "n": 2, "grid": [1e-8]}
+    assert run(tmp_path, monkeypatch, ["critical-radius"], cfg) == 3
+    assert capsys.readouterr().err == "numerical failure: no solution on grid\n"
+    assert not (tmp_path / "out").exists()
