@@ -12,6 +12,9 @@ The seed of ``simulate-risk``, ``erm-failure`` and ``figure2`` is the
 ``--seed`` flag, else the SHIFTKRR_SEED environment variable, else the
 config's ``seed`` (default 0); only those subcommands convert it.
 
+Every handler runs with BLAS on one thread (``seeding.one_blas_thread``),
+so no output depends on the core count or ``OPENBLAS_NUM_THREADS``.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import bounds, experiments, hard_instance, spectrum
 from .estimators import FactorizationError, ProjectionError, fit_krr, fit_reweighted_krr
-from .seeding import map_units
+from .seeding import one_blas_thread
 from .shifts import Dataset
 from .spectrum import (EigenKernel, EigenSequence, NumericalError, TruncationExceeded,
                        default_grid)
@@ -93,9 +96,7 @@ def _cmd_fit(cfg: dict) -> dict:
     data = Dataset.from_csv(cfg["data"])
     lam = _float(cfg, "lambda", 0.1)
     fit = fit_reweighted_krr if cfg.get("weighted", False) else fit_krr
-    mode = cfg.get("mode", "dual")
-    # on one BLAS thread, like every replicate, so the bytes do not depend on the BLAS setting
-    return map_units(lambda d: fit(d, kernel, lam, mode=mode), [data])[0].to_json()
+    return fit(data, kernel, lam, mode=cfg.get("mode", "dual")).to_json()
 
 
 def _bound_inputs(cfg: dict):
@@ -249,7 +250,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg.update({k: v for k, v in flags.items() if v is not None})
         if not args.out:
             raise ConfigError("--out is required for this subcommand")
-        result = handler(cfg)
+        with one_blas_thread():
+            result = handler(cfg)
         if isinstance(result, dict):
             experiments.write_json(args.out, result)
         elif args.format == "json":

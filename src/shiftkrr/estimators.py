@@ -56,8 +56,8 @@ class ProjectionError(RuntimeError):
 class FittedModel:
     """A fitted regressor over an eigen-expanded kernel.
 
-    ``theta`` holds eigen-coordinates of the fit (exact in primal mode,
-    derived as M Phi^T alpha in dual mode, where the two coincide).
+    ``theta`` holds eigen-coordinates of the fit; in dual mode it equals
+    M Phi^T alpha in exact arithmetic (see ``RidgeCore.fit_dual``).
     """
 
     mode: str
@@ -220,7 +220,12 @@ class RidgeCore:
         and two refinement steps follow; then the residual of the
         unsymmetric system, S((Fs Fs^T + n lam I) beta - S y), is checked.
         A zero weight zeroes its row of Fs and of S y, so its alpha is 0.
-        theta = M^(1/2) Fs^T beta = M F^T alpha.
+        theta = M^(1/2) Fs^T beta = M F^T alpha equals the primal M^(1/2) z
+        in exact arithmetic and is read off the smaller of the two Gram
+        systems, since rounding leaks into each solve through its Gram's
+        null space: into beta as |y_perp| / (n lam), y_perp the part of S y
+        outside the range of Fs, when the weighted rows outnumber the rank,
+        and into z when the rank is the larger.
         """
         if lam <= 0:
             raise ValueError("lam must be positive")
@@ -239,7 +244,9 @@ class RidgeCore:
             for _ in range(2):
                 beta += solve(rhs - Fs @ (Fs.T @ beta) - nlam * beta)
             _check_residual(root_w * (Fs @ (Fs.T @ beta) + nlam * beta - rhs), root_w * rhs)
-        return self._model(Fs.T @ beta, lam, alpha=root_w * beta)
+        rows = len(rhs) if self._root_w is None else np.count_nonzero(self._root_w)
+        z = self.U @ (self.ct / (self.s + nlam)) if len(self.s) <= rows else Fs.T @ beta
+        return self._model(z, lam, alpha=root_w * beta)
 
     def fit_constrained(self, radius: float) -> FittedModel:
         """ERM over the Hilbert ball (see ``fit_constrained_erm``): the ridge fit at its multiplier."""

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error
-from .seeding import derive_seed, map_units, rng_for
+from .seeding import derive_seed, map_units, one_blas_thread, rng_for
 from .shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design
 from .spectrum import EigenKernel, EigenSequence
 
@@ -65,11 +65,13 @@ class HardInstanceState:
         """Eigenpairs (s, E) of M_R^(1/2) Cov_RR M_R^(1/2) over j >= 2, and M_R^(1/2).
 
         The block does not depend on the slice t, so ``g_primal`` reuses
-        one eigendecomposition per state for every t and quad_coeff.
+        one eigendecomposition per state for every t and quad_coeff, on one
+        BLAS thread, where it neither stalls nor depends on the thread count.
         """
         ms = np.sqrt(self.mu[1:])
         A = (self.empirical_cov[1:, 1:] * ms).T * ms
-        s, E = np.linalg.eigh((A + A.T) / 2.0)
+        with one_blas_thread():
+            s, E = np.linalg.eigh((A + A.T) / 2.0)
         return s, E, ms
 
     @classmethod
@@ -96,15 +98,22 @@ def hard_pair_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     where every entry of the block's Gram is an integer of magnitude at
     most the block's row count (< 2^24), and the blocks are summed in
     float64, so x^T x equals the float64 product bit for bit.  x^T y is
-    summed in float64 over the same blocks.
+    summed in float64 over the same blocks.  One float32 and one float64
+    block buffer serve every block.
     """
     n, D = x.shape
     xtx = np.zeros((D, D))
     xty = np.zeros(D)
+    rows = min(n, HYPERCUBE_BLOCK_ROWS)
+    b32 = np.empty((rows, D), dtype=np.float32)
+    b64 = np.empty((rows, D))
     for i in range(0, n, HYPERCUBE_BLOCK_ROWS):
-        block = x[i:i + HYPERCUBE_BLOCK_ROWS].astype(np.float32)
-        xtx += block.T @ block
-        xty += y[i:i + HYPERCUBE_BLOCK_ROWS] @ block  # promoted to float64
+        x_blk = x[i:i + HYPERCUBE_BLOCK_ROWS]
+        m = len(x_blk)
+        np.copyto(b32[:m], x_blk)
+        np.copyto(b64[:m], x_blk)
+        xtx += b32[:m].T @ b32[:m]
+        xty += y[i:i + m] @ b64[:m]
     return xtx, xty
 
 

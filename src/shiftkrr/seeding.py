@@ -10,9 +10,12 @@ are also independent of the core count and of the BLAS thread setting.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -59,17 +62,19 @@ def rng_for(master_seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *indices))
 
 
-def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """(get, set) thread-count functions of every OpenBLAS loaded in this process.
 
     Empty when none is found: another BLAS, or no ``/proc/self/maps``.
+    Looked up once per process: numpy loads its OpenBLAS at import.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({parts[5].rstrip() for parts in (line.split(maxsplit=5) for line in fh)
                             if len(parts) == 6 and "openblas" in os.path.basename(parts[5])})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         try:
@@ -83,39 +88,66 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 controls.append((get, set_))
                 break
-    return controls
+    return tuple(controls)
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list[int] = []
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the body with every loaded OpenBLAS on one thread.
+
+    Reentrant and shared by all threads of the process: a depth counter
+    under a lock makes the first entry save the thread counts and set
+    them to 1, and the last exit restore them.  OpenBLAS keeps one global
+    count, so per-caller restores would race.  On one thread a product
+    sums in a fixed order, so its bytes do not depend on the core count or
+    ``OPENBLAS_NUM_THREADS``, and small factorizations such as a 200 x 200
+    ``eigh`` avoid thread start-up stalls of hundreds of milliseconds.
+    Without an OpenBLAS this does nothing.
+    """
+    global _blas_depth, _blas_saved
+    blas = _openblas_thread_controls()
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [get() for get, _ in blas]
+            for _, set_ in blas:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, set_), count in zip(blas, _blas_saved):
+                    set_(count)
 
 
 def map_units(fn: Callable[[T], R], units: Iterable[T],
               threads: Optional[int] = None) -> list[R]:
-    """``[fn(u) for u in units]``, computed on ``threads`` workers with BLAS on one thread.
+    """``[fn(u) for u in units]``, computed on ``threads`` workers inside ``one_blas_thread``.
 
     Results come back in the order of ``units``, and the exception of the
     first failing unit propagates (with several workers, once every unit
     has run).  ``threads=None`` uses every core this process may run on;
-    the count is capped at the number of units.  Every loaded OpenBLAS is
-    set to one thread for the whole call, serial runs included, and
-    restored afterwards, so a unit computes the same bytes whatever the
-    worker count, the core count or ``OPENBLAS_NUM_THREADS``.  The count
-    is set once around the call and not per unit: OpenBLAS keeps one
-    global count, so per-unit restores would race between workers.  Where
-    no OpenBLAS is found the units run serially with BLAS untouched.
+    the count is capped at the number of units.  BLAS is on one thread for
+    the whole call, serial runs included, so a unit computes the same
+    bytes whatever the worker count, the core count or
+    ``OPENBLAS_NUM_THREADS``.  Where no OpenBLAS is found the units run
+    serially with BLAS untouched.
     """
     units = list(units)
-    blas = _openblas_thread_controls()
-    if not blas:
+    if not _openblas_thread_controls():
         return [fn(u) for u in units]
     if threads is None:
         threads = len(os.sched_getaffinity(0))
     threads = max(1, min(threads, len(units)))
-    saved = [get() for get, _ in blas]
-    try:
-        for _, set_ in blas:
-            set_(1)
+    with one_blas_thread():
         if threads == 1:
             return [fn(u) for u in units]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, units))
-    finally:
-        for (_, set_), count in zip(blas, saved):
-            set_(count)

@@ -136,18 +136,45 @@ def _check_hard_pair(D: int, B: float) -> None:
         raise ValueError("B must be finite and >= 1")
 
 
+#: bit generators whose 32-bit draws are the low, then the high half of
+#: one 64-bit word, with the unused half kept in the state's buffer
+_HALF_WORD_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                         np.random.SFC64)
+
+
 def hypercube_signs(n: int, D: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform points of {-1, +1}^D as int8.
 
-    Consumes the stream exactly as ``rng.integers(0, 2, size=(n, D))``
-    does: int32 draws give the same values as the int64 default, and
-    drawing in row blocks of ``HYPERCUBE_BLOCK_ROWS`` leaves the generator
-    where one draw would, so later draws are unchanged too.
+    Gives the values, and leaves the generator in the state, of
+    ``rng.integers(0, 2, size=(n, D))``, so later draws are unchanged too.
+    At range 2, ``integers`` takes Lemire's multiply-shift of one 32-bit
+    draw u by 2 (Lemire, ACM TOMACS 2019), which never rejects and keeps
+    the top bit of u; each 32-bit draw is the low, then the high half of
+    one 64-bit word of the bit generator.  So the signs are the top bits of
+    the half-words of ``random_raw``, read as int32 in row blocks of
+    ``HYPERCUBE_BLOCK_ROWS``.  A half-word buffered on entry and the last
+    one or two draws go through ``integers`` itself, which leaves the
+    generator's buffer as one ``integers`` call would.  The bit generator
+    must be PCG64, PCG64DXSM, Philox or SFC64; any other (MT19937 draws
+    32-bit words natively) raises ``TypeError``.
     """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, _HALF_WORD_GENERATORS):
+        raise TypeError(f"hypercube_signs cannot read the raw words of {type(bitgen).__name__}")
     x = np.empty((n, D), dtype=np.int8)
-    for i in range(0, n, HYPERCUBE_BLOCK_ROWS):
-        j = min(i + HYPERCUBE_BLOCK_ROWS, n)
-        x[i:j] = rng.integers(0, 2, size=(j - i, D), dtype=np.int32)
+    flat = x.reshape(-1)
+    start = 1 if flat.size and bitgen.state["has_uint32"] else 0
+    flat[:start] = rng.integers(0, 2, size=start, dtype=np.int32)
+    left = flat.size - start
+    stop = flat.size - min(left, 2 - left % 2)  # an even count of raw half-words
+    bits = flat.view(np.bool_)
+    step = HYPERCUBE_BLOCK_ROWS * max(D, 1)
+    for i in range(start, stop, step):
+        j = min(i + step, stop)
+        # as little-endian bytes, each word reads as its low, then its high half
+        np.less(bitgen.random_raw((j - i) // 2).astype("<u8", copy=False).view("<i4"), 0,
+                out=bits[i:j])
+    flat[stop:] = rng.integers(0, 2, size=flat.size - stop, dtype=np.int32)
     x *= 2
     x -= 1
     return x

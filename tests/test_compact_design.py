@@ -1,7 +1,10 @@
 """The int8 hard-pair design: the same stream as the float sampler it replaced,
 and an exact Gram matrix from float32 row blocks."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from shiftkrr.shifts import (
     HYPERCUBE_BLOCK_ROWS,
     hard_pair_design,
     hypercube_hard_pair,
+    hypercube_signs,
 )
 
 BLOCK = HYPERCUBE_BLOCK_ROWS
@@ -75,3 +79,53 @@ def test_sampled_state_covariance_is_bit_identical():
     w = rng.normal(0.0, 1.0, size=n)
     assert np.array_equal(state.empirical_cov, x.T @ x / n)
     np.testing.assert_allclose(state.v, x.T @ w / n, rtol=1e-12, atol=1e-15)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bitgen=st.sampled_from(BIT_GENERATORS),
+       n=st.one_of(st.just(1), st.integers(1, 40), st.integers(BLOCK - 2, BLOCK + 3)),
+       D=st.one_of(st.just(1), st.integers(1, 9)),
+       before=st.sampled_from([0, 1, 3, 8]),
+       seed=st.integers(0, 2**32 - 1))
+def test_signs_are_the_stream_of_integers(bitgen, n, D, before, seed):
+    # odd and even n*D, n*D = 1, and a buffered half-word on entry (odd `before`)
+    new, old = np.random.Generator(bitgen(seed)), np.random.Generator(bitgen(seed))
+    assert np.array_equal(new.integers(0, 2, size=before), old.integers(0, 2, size=before))
+    x = hypercube_signs(n, D, new)
+    assert x.dtype == np.int8
+    assert np.array_equal(x, old.integers(0, 2, size=(n, D)) * 2 - 1)
+    np.testing.assert_equal(new.bit_generator.state, old.bit_generator.state)
+    assert np.array_equal(new.integers(0, 2, size=5), old.integers(0, 2, size=5))
+    assert new.random() == old.random()
+
+
+def test_signs_refuse_a_generator_with_32_bit_words():
+    with pytest.raises(TypeError, match="MT19937"):
+        hypercube_signs(4, 3, np.random.Generator(np.random.MT19937(0)))
+
+
+def test_design_holds_itself_and_one_block_of_raw_words():
+    n, D = 3 * BLOCK + 5, 64
+    hard_pair_design(n, D, 4.0, rng_for(2))  # warm up numpy's own allocations
+    tracemalloc.start()
+    try:
+        hard_pair_design(n, D, 4.0, rng_for(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 design, one block of 64-bit words (two signs each), the mask's draws
+    assert peak <= n * D + 4 * BLOCK * D + 9 * n + 64 * 1024
+
+
+def test_xty_is_the_float64_block_sum_bit_for_bit():
+    n, D = 2 * BLOCK + 77, 48
+    rng = rng_for(8)
+    x = hard_pair_design(n, D, 16.0, rng)
+    y = rng.normal(size=n)
+    expected = np.zeros(D)
+    for i in range(0, n, BLOCK):
+        expected += y[i:i + BLOCK] @ x[i:i + BLOCK].astype(float)
+    assert np.array_equal(hard_pair_moments(x, y)[1], expected)

@@ -133,3 +133,108 @@ def test_dual_fit_and_sweep_bytes_do_not_depend_on_openblas_threads(tmp_path):
             run.append(out.read_bytes())
         outputs.append(run)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_one_blas_thread_is_reentrant_and_restores_once():
+    before = blas_counts()
+    with seeding.one_blas_thread():
+        with seeding.one_blas_thread():
+            assert blas_counts() == [1] * len(before)
+        assert blas_counts() == [1] * len(before)
+        assert map_units(lambda u: blas_counts(), range(3), threads=2) == [[1] * len(before)] * 3
+        assert blas_counts() == [1] * len(before)
+    assert blas_counts() == before
+    with pytest.raises(KeyError):
+        with seeding.one_blas_thread():
+            raise KeyError("inside")
+    assert blas_counts() == before
+
+
+def test_openblas_is_looked_up_once_per_process():
+    assert seeding._openblas_thread_controls() is seeding._openblas_thread_controls()
+
+
+def test_cli_handlers_and_the_whitened_eigh_run_on_one_blas_thread(monkeypatch, tmp_path):
+    from shiftkrr import cli, spectrum
+    from shiftkrr.hard_instance import HardInstanceState
+
+    seen = []
+    monkeypatch.setattr(spectrum, "critical_radius", lambda *a, **k: seen.append(blas_counts()))
+    (tmp_path / "eigs.json").write_text(json.dumps({"eigs": {"kind": "poly", "alpha": 1.0}}))
+    assert cli.main(["critical-radius", "--config", str(tmp_path / "eigs.json"),
+                     "--out", str(tmp_path / "r.json")]) == 0
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(blas_counts()) or eigh(a))
+    HardInstanceState.from_sample(200, 4.0, 1.0, 20, seed=1).whitened_tail
+    assert seen == [[1] * len(blas_counts())] * 2
+
+
+EVERY_SUBCOMMAND = """
+import json, sys
+from shiftkrr.cli import main
+out = sys.argv[1]
+runs = [
+    ["figure1"],
+    ["bound-curve", "--config", "eigs.json"],
+    ["lambda-star", "--config", "eigs.json"],
+    ["lower-bound", "--config", "eigs.json"],
+    ["critical-radius", "--config", "eigs.json"],
+    ["erm-failure", "--n", "2000", "--B", "16", "--reps", "4", "--seed", "1"],
+    ["simulate-risk", "--config", "sweep.json", "--seed", "3"],
+    ["fit", "--config", "fit.json", "--data", "data.csv"],
+]
+for args in runs:
+    assert main([*args, "--out", f"{args[0]}-{out}.out"]) == 0, args
+"""
+
+
+def test_every_subcommand_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    rng = np.random.default_rng(7)
+    n, D = 2000, 64
+    xs = rng.choice([-1.0, 1.0], size=(n, D))
+    lines = [",".join([f"x_{j}" for j in range(1, D + 1)] + ["y", "weight"])]
+    lines += [",".join(f"{v:.17g}" for v in [*x, y, w])
+              for x, y, w in zip(xs, xs[:, 0] + rng.normal(size=n), rng.uniform(0.2, 3.0, size=n))]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    eigs = {"kind": "poly", "alpha": 1.0}
+    kernel = {"eigs": eigs, "eigenfunctions": "hypercube", "rank": D}
+    (tmp_path / "eigs.json").write_text(json.dumps({"eigs": eigs}))
+    (tmp_path / "fit.json").write_text(json.dumps(
+        {"kernel": kernel, "lambda": 0.01, "mode": "dual", "weighted": True}))
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {"pair": {"family": "hypercube", "D": D}, "kernel": kernel, "estimator": "reweighted",
+         "lambda_rule": {"rule": "poly", "alpha": 1.0}, "weight_rule": "tau_n",
+         "fit_mode": "primal", "n_list": [1500], "shift_grid": [8.0], "reps": 2}))
+    for value in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": value}
+        subprocess.run([sys.executable, "-c", EVERY_SUBCOMMAND, value], cwd=tmp_path, env=env,
+                       check=True, timeout=300)
+    names = sorted({p.name.rsplit("-", 1)[0] for p in tmp_path.glob("*-1.out")})
+    assert len(names) == 8
+    for name in names:
+        assert (tmp_path / f"{name}-1.out").read_bytes() == (tmp_path / f"{name}-2.out").read_bytes()
+
+
+def test_one_blas_thread_keeps_its_count_under_concurrent_entries():
+    before = blas_counts()
+    inside, errors = [1] * len(before), []
+
+    def enter_and_leave():
+        for _ in range(300):
+            with seeding.one_blas_thread():
+                if blas_counts() != inside:
+                    errors.append(blas_counts())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert blas_counts() == before

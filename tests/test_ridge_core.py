@@ -135,3 +135,20 @@ def test_simulate_failure_eigendecomposes_once_per_replication(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     simulate_failure(200, 4.0, D=16, reps=3, seed=1)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("seed, lam", [(3392, 1e-5), (35, 1e-6), (356, 1e-6)])
+def test_noisy_dual_reads_theta_off_the_primal_system(seed, lam):
+    # more weighted rows than the rank and noise off the column space of F:
+    # theta formed from the dual coefficients would sit up to 4.6e-8 from the primal
+    rng = np.random.default_rng(seed)
+    D = int(rng.integers(1, 9))
+    n = int(rng.integers(4 * D, 61))
+    kernel = EigenKernel(EigenSequence.finite_rank(np.sort(rng.uniform(0.05, 2.0, size=D))[::-1]),
+                         "hypercube", rank=D)
+    xs = rng.integers(0, 2, size=(n, D)).astype(float) * 2 - 1
+    ys = xs @ rng.normal(size=D) + rng.normal(size=n)
+    w = rng.uniform(0.1, 3.0, size=n)
+    core = RidgeCore(Dataset(xs, ys, w), kernel, w)
+    primal = core.fit_ridge(lam).theta
+    assert np.linalg.norm(core.fit_dual(lam).theta - primal) <= 1e-9 * np.linalg.norm(primal)
