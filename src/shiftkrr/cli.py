@@ -10,7 +10,9 @@ configs and seeds give byte-identical files.
 
 The seed of ``simulate-risk``, ``erm-failure`` and ``figure2`` is the
 ``--seed`` flag, else the SHIFTKRR_SEED environment variable, else the
-config's ``seed`` (default 0); only those subcommands convert it.
+config's ``seed`` (default 0); only those subcommands convert it.  Integer
+keys (``n``, ``reps``, ``D``, ``seed`` and the grid's ``points``) take whole
+numbers: 8000.0 reads as 8000, and 8000.9 is a config error.
 
 Every handler runs with BLAS on one thread (``seeding.one_blas_thread``),
 so no output depends on the core count or ``OPENBLAS_NUM_THREADS``.
@@ -49,6 +51,14 @@ def _float(cfg: dict, key: str, default: float) -> float:
     return value
 
 
+def _int(cfg: dict, key: str, default: Optional[int]) -> Optional[int]:
+    """The whole number under ``key``: 8000 or 8000.0, never 8000.9 (None stays None)."""
+    value = cfg.get(key, default)
+    if value is not None and not float(value).is_integer():  # also rejects NaN and inf
+        raise ConfigError(f"'{key}' must be a whole number")
+    return None if value is None else int(value)
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -68,7 +78,7 @@ def _grid_from(cfg: dict) -> np.ndarray:
         g = g or {}
         grid = default_grid(float(g.get("lo", spectrum.DEFAULT_GRID_MIN)),
                             float(g.get("hi", spectrum.DEFAULT_GRID_MAX)),
-                            int(g.get("points", spectrum.DEFAULT_GRID_POINTS)))
+                            _int(g, "points", spectrum.DEFAULT_GRID_POINTS))
     else:
         grid = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(grid)):
@@ -100,7 +110,7 @@ def _cmd_fit(cfg: dict) -> dict:
 
 
 def _bound_inputs(cfg: dict):
-    return (_eigs_from(cfg), _float(cfg, "B", 1.0), int(cfg.get("n", 8000)),
+    return (_eigs_from(cfg), _float(cfg, "B", 1.0), _int(cfg, "n", 8000),
             _float(cfg, "sigma_sq", 1.0), _float(cfg, "hnorm_sq", 1.0))
 
 
@@ -131,7 +141,7 @@ def _cmd_critical_radius(cfg: dict) -> dict:
         _eigs_from(cfg),
         sigma_sq=_float(cfg, "sigma_sq", 1.0),
         V_sq=_float(cfg, "V_sq", 1.0),
-        n=int(cfg.get("n", 8000)),
+        n=_int(cfg, "n", 8000),
         hnorm_sq=_float(cfg, "hnorm_sq", 1.0),
         c0=_float(cfg, "c0", 1.0),
         general_noise=bool(cfg.get("general_noise", False)),
@@ -141,7 +151,7 @@ def _cmd_critical_radius(cfg: dict) -> dict:
 
 
 def _cmd_simulate_risk(cfg: dict):
-    config = experiments.ExperimentConfig.from_json({**cfg, "seed": int(cfg.get("seed", 0))})
+    config = experiments.ExperimentConfig.from_json({**cfg, "seed": _int(cfg, "seed", 0)})
     rows = experiments.run_risk_sweep(config)
     return experiments.RISK_HEADER, [astuple(r) for r in rows]
 
@@ -167,13 +177,13 @@ def _cmd_rates(cfg: dict) -> dict:
 
 
 def _cmd_erm_failure(cfg: dict):
-    n = int(cfg.get("n", 8000))
+    n = _int(cfg, "n", 8000)
     records = hard_instance.simulate_failure(
         n, _float(cfg, "B", n ** (2.0 / 3.0)),
         sigma_sq=_float(cfg, "sigma_sq", 1.0),
-        D=cfg.get("D"),
-        reps=int(cfg.get("reps", 20)),
-        seed=int(cfg.get("seed", 0)),
+        D=_int(cfg, "D", None),
+        reps=_int(cfg, "reps", 20),
+        seed=_int(cfg, "seed", 0),
     )
     return experiments.FAILURE_HEADER, [astuple(r) for r in records]
 
@@ -181,7 +191,7 @@ def _cmd_erm_failure(cfg: dict):
 def _cmd_figure1(cfg: dict):
     rows = experiments.figure1(
         B_values=cfg.get("B_values", experiments.FIGURE1_B_VALUES),
-        n=int(cfg.get("n", 8000)),
+        n=_int(cfg, "n", 8000),
         sigma_sq=_float(cfg, "sigma_sq", 1.0),
         hnorm_sq=_float(cfg, "hnorm_sq", 1.0),
         lambda_grid=_grid_from(cfg),
@@ -194,10 +204,10 @@ def _cmd_figure2(cfg: dict):
     rows = experiments.figure2(
         n_list=cfg.get("n_list", experiments.FIGURE2_N_VALUES),
         B_grid=cfg.get("B_grid", experiments.FIGURE2_B_VALUES),
-        reps=int(cfg.get("reps", 20)),
-        seed=int(cfg.get("seed", 0)),
+        reps=_int(cfg, "reps", 20),
+        seed=_int(cfg, "seed", 0),
         sigma_sq=_float(cfg, "sigma_sq", 1.0),
-        D=cfg.get("D"),
+        D=_int(cfg, "D", None),
     )
     return experiments.FIGURE2_HEADER, rows
 
@@ -211,8 +221,7 @@ _COMMANDS = {
     "lambda-star": (_cmd_lambda_star, {}),
     "lower-bound": (_cmd_lower_bound, {}),
     "critical-radius": (_cmd_critical_radius, {}),
-    "simulate-risk": (_cmd_simulate_risk, {**_SEED,
-                                           "threads": (int, "cells run at once (speed only)")}),
+    "simulate-risk": (_cmd_simulate_risk, _SEED),
     "rates": (_cmd_rates, {"table": (str, "risk table CSV path")}),
     "erm-failure": (_cmd_erm_failure, {**_SEED, "n": (int, "sample size"),
                                        "B": (float, "likelihood-ratio bound"),

@@ -203,8 +203,8 @@ class RidgeCore:
 
     def fit_ridge(self, lam: float) -> FittedModel:
         """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c."""
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < lam < math.inf:  # also rejects NaN
+            raise ValueError("lam must be finite and positive")
         nlam = self.n * lam
         z = self.U @ (self.ct / (self.s + nlam))
         _check_residual(self.G @ z + nlam * z - self.c, self.c)
@@ -227,8 +227,8 @@ class RidgeCore:
         outside the range of Fs, when the weighted rows outnumber the rank,
         and into z when the rank is the larger.
         """
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < lam < math.inf:  # also rejects NaN
+            raise ValueError("lam must be finite and positive")
         if self._F is None:
             raise ValueError("a core built from moments has no dual fit")
         nlam = self.n * lam
@@ -250,7 +250,7 @@ class RidgeCore:
 
     def fit_constrained(self, radius: float) -> FittedModel:
         """ERM over the Hilbert ball (see ``fit_constrained_erm``): the ridge fit at its multiplier."""
-        if radius <= 0:
+        if not radius > 0:  # also rejects NaN
             raise ValueError("radius must be positive")
         n = self.n
         trace_K = float(np.trace(self.G))  # sum_i w_i K(x_i, x_i)
@@ -265,8 +265,8 @@ class RidgeCore:
 def _fit_ridge(data: Dataset, kernel: EigenKernel, lam: float, mode: str,
                weights: Optional[np.ndarray]) -> FittedModel:
     """The (weighted) ridge fit of ``fit_krr`` and ``fit_reweighted_krr``."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:  # also rejects NaN
+        raise ValueError("lam must be finite and positive")
     if len(data) < 1:
         raise ValueError("need at least one observation")
     if mode not in ("dual", "primal"):

@@ -90,7 +90,6 @@ class ExperimentConfig:
     weight_rule: str = "tau_n"
     truncation_scale: float = 1.0
     fit_mode: str = "primal"
-    threads: int = 1
 
     def __post_init__(self):
         if not self.n_list or not self.shift_grid:
@@ -98,6 +97,9 @@ class ExperimentConfig:
         for name in ("reps", "n_mc"):
             if not getattr(self, name) >= 1:  # also rejects NaN
                 raise ValueError(f"{name} must be >= 1")
+        if not all(float(v).is_integer() for v in (*self.n_list, self.reps, self.n_mc)):
+            raise ValueError("n_list entries, reps and n_mc must be whole numbers")
+        self.reps, self.n_mc = int(self.reps), int(self.n_mc)
         for name in ("radius", "truncation_scale"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and positive")
@@ -211,9 +213,10 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
     Rows are emitted in canonical grid order.  Fit failures are recorded
     per row in the status column rather than aborting the sweep.  Every
     cell resolves its pair, lambda, risk mode and estimator once, before
-    any replicate runs; the cells then run through ``map_units`` on
-    ``config.threads`` workers, which changes only the speed: the rows do
-    not depend on it.
+    any replicate runs; the cells then run one after another through
+    ``map_units`` on one worker, inside its one-BLAS-thread scope.  Spreading
+    the cells over both cores of a 2-core machine made the benchmark's
+    ``risk_sweep`` slower, not faster, and raised its peak RSS.
     """
     kernel = EigenKernel.from_json(config.kernel)
     theta_star = fstar_coordinates(config.fstar, kernel, config.hnorm_sq)
@@ -266,8 +269,7 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
 
     cells = [risk_cell(ni, bi) for ni in range(len(config.n_list))
              for bi in range(len(config.shift_grid))]
-    per_cell = map_units(lambda replicate: list(map(replicate, range(config.reps))),
-                         cells, config.threads)
+    per_cell = map_units(lambda replicate: list(map(replicate, range(config.reps))), cells, 1)
     return [row for rows in per_cell for row in rows]
 
 
@@ -319,7 +321,6 @@ FIGURE1_HEADER = ("B", "lambda", "bias_sq", "variance", "total", "is_argmin")
 
 
 def figure1(
-    out_path: Optional[str] = None,
     B_values: Sequence[float] = FIGURE1_B_VALUES,
     n: int = 8000,
     sigma_sq: float = 1.0,
@@ -342,8 +343,6 @@ def figure1(
         for i, (lam, rep) in enumerate(zip(grid, reports)):
             rows.append([float(B), float(lam), rep.bias_sq, rep.variance,
                          rep.total, i == k])
-    if out_path:
-        write_csv(out_path, FIGURE1_HEADER, rows)
     return rows
 
 
@@ -355,7 +354,6 @@ def figure2(
     B_grid: Sequence[float] = FIGURE2_B_VALUES,
     reps: int = 20,
     seed: int = 0,
-    out_path: Optional[str] = None,
     sigma_sq: float = 1.0,
     D: Optional[int] = None,
     threads: Optional[int] = None,
@@ -371,6 +369,8 @@ def figure2(
     """
     if not reps >= 1:  # also rejects NaN
         raise ValueError("figure2 needs reps >= 1")
+    if not all(float(v).is_integer() for v in (*n_list, reps)):
+        raise ValueError("figure2 needs whole-number n_list entries and reps")
     cells = [(int(n), float(B), derive_seed(seed, ni, bi))
              for ni, n in enumerate(n_list) for bi, B in enumerate(B_grid)
              if B <= float(n) ** (2.0 / 3.0) + 1e-9]
@@ -381,8 +381,6 @@ def figure2(
     for k, (n, B, _) in enumerate(cells):
         med = float(np.median([r.krr_hnorm_sq for r in recs[k * reps:(k + 1) * reps]]))
         rows.append([n, B, med, reps])
-    if out_path:
-        write_csv(out_path, FIGURE2_HEADER, rows)
     return rows
 
 

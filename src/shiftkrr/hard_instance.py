@@ -40,7 +40,6 @@ class HardInstanceState:
     """
 
     D: int
-    B: float
     empirical_cov: np.ndarray
     v: np.ndarray
 
@@ -79,7 +78,7 @@ class HardInstanceState:
         """State with the population covariance diag(1/B, 1, ..., 1)."""
         cov = np.eye(D)
         cov[0, 0] = 1.0 / B
-        return cls(D=D, B=B, empirical_cov=cov, v=np.zeros(D) if v is None else v)
+        return cls(D=D, empirical_cov=cov, v=np.zeros(D) if v is None else v)
 
     @classmethod
     def from_sample(cls, n: int, B: float, sigma_sq: float, D: int, seed: int) -> "HardInstanceState":
@@ -88,7 +87,7 @@ class HardInstanceState:
         x = hard_pair_design(n, D, B, rng)
         w = rng.normal(0.0, math.sqrt(sigma_sq), size=n)
         xtx, xtw = hard_pair_moments(x, w)
-        return cls(D=D, B=B, empirical_cov=xtx / n, v=xtw / n)
+        return cls(D=D, empirical_cov=xtx / n, v=xtw / n)
 
 
 def hard_pair_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +131,9 @@ def g_dual_tail(
     multiplier of the ball-constrained quadratic in u_j = theta_j / sqrt(mu_j).
     A zero slack gives the value 0, approached as xi -> inf.
     """
-    if slack < 0:
+    if not slack >= 0:  # each guard also rejects NaN
         raise ValueError("slack must be nonnegative")
-    if quad_coeff <= 0:
+    if not quad_coeff > 0:
         raise ValueError("quad_coeff must be positive")
     v = np.asarray(v_rest, dtype=float)
     mu = np.asarray(mu_rest, dtype=float)
@@ -150,7 +149,6 @@ def g_primal(
     state: HardInstanceState,
     t: float,
     quad_coeff: float = 1.0,
-    grid_size: int = 200,
 ) -> float:
     """Separation objective g(t) on the slice theta_1 = t of the unit ball.
 
@@ -160,12 +158,11 @@ def g_primal(
     state gives the sandwich surrogates.  The tail minimization over the
     ellipsoid is solved exactly as a ball-constrained quadratic in the
     eigenbasis of the whitened covariance block, which the state
-    decomposes once for all t.  ``grid_size`` has no effect; it is
-    accepted for compatibility with earlier callers.
+    decomposes once for all t.
     """
-    if not 0.0 <= t <= 1.0:
+    if not 0.0 <= t <= 1.0:  # each guard also rejects NaN
         raise ValueError("t must lie in [0, 1]")
-    if quad_coeff <= 0:
+    if not quad_coeff > 0:
         raise ValueError("quad_coeff must be positive")
     if t == 1.0:
         # the feasible set collapses to theta = theta*, where both terms vanish

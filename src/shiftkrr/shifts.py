@@ -265,7 +265,7 @@ def gaussian_scale_pair(tau_sq: float) -> ShiftPair:
 
 def truncate_lr(rho_value, tau: float):
     """Clip likelihood-ratio values at the truncation level tau."""
-    if tau <= 0:
+    if not tau > 0:  # also rejects NaN
         raise ValueError("truncation level must be positive")
     return np.minimum(rho_value, tau)
 
@@ -283,29 +283,21 @@ def sample_dataset(
     sigma: float,
     n: int,
     seed: int,
-    from_target: bool = False,
-    noise: str = "gaussian",
 ) -> Dataset:
-    """Draw n covariates from the pair and add noisy responses.
+    """Draw n covariates from the pair's source and add noisy responses.
 
-    y_i = f*(x_i) + w_i with w_i either N(0, sigma^2) (the canonical
-    sub-Gaussian law) or sigma * Rademacher.  Identical seeds give
-    bit-identical datasets.
+    y_i = f*(x_i) + w_i with w_i ~ N(0, sigma^2), the canonical
+    sub-Gaussian law.  Identical seeds give bit-identical datasets.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma < 0:
+    if not sigma >= 0:  # also rejects NaN
         raise ValueError("sigma must be nonnegative")
-    rng = rng_for(seed, 0 if from_target else 1)
-    xs = pair.sample_target(n, rng) if from_target else pair.sample_source(n, rng)
+    rng = rng_for(seed, 1)
+    xs = pair.sample_source(n, rng)
     ys = np.asarray(fstar(xs), dtype=float)
     if sigma > 0:
-        if noise == "gaussian":
-            ys = ys + rng.normal(0.0, sigma, size=n)
-        elif noise == "rademacher":
-            ys = ys + sigma * (rng.integers(0, 2, size=n) * 2.0 - 1.0)
-        else:
-            raise ValueError(f"unknown noise law {noise!r}")
+        ys = ys + rng.normal(0.0, sigma, size=n)
     return Dataset(xs, ys)
 
 

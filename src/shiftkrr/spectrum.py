@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -435,15 +435,13 @@ class EigenKernel:
     ----------
     eigs : EigenSequence
         Declared eigenvalues.
-    features : str or callable
-        Eigenfunction family: "hypercube" (phi_j(x) = x_j), "hermite", or a
-        callable ``(X, m) -> (n, m)`` array of the first m eigenfunction
-        values.
+    features : str
+        Eigenfunction family: "hypercube" (phi_j(x) = x_j) or "hermite";
+        any other value, a callable included, raises ValueError.
     rank : int, optional
         Number of retained eigen-pairs.  Required when neither the
         eigenvalue sequence nor the ambient dimension caps it: a polynomial
-        sequence with Hermite or custom eigenfunctions raises ValueError
-        without one.
+        sequence with Hermite eigenfunctions raises ValueError without one.
     kappa_sq : float, optional
         Declared bound on sup_x K(x, x).  Defaults to the eigenvalue trace,
         which is exact for sup-norm-1 families such as the hypercube one.
@@ -452,19 +450,15 @@ class EigenKernel:
     def __init__(
         self,
         eigs: EigenSequence,
-        features: str | Callable[[np.ndarray, int], np.ndarray] = "hypercube",
+        features: str = "hypercube",
         rank: Optional[int] = None,
         kappa_sq: Optional[float] = None,
     ):
         self.eigs = eigs
-        if callable(features):
-            self.family = "custom"
-            self._features = features
-        else:
-            if features not in _FEATURE_FAMILIES:
-                raise ValueError(f"unknown eigenfunction family {features!r}")
-            self.family = features
-            self._features = _FEATURE_FAMILIES[features]
+        if features not in _FEATURE_FAMILIES:
+            raise ValueError(f"unknown eigenfunction family {features!r}")
+        self.family = features
+        self._features = _FEATURE_FAMILIES[features]
         if rank is None and eigs.rank is None and self.family != "hypercube":
             raise ValueError(f"{self.family} features on a poly sequence need an explicit rank")
         self.rank = int(min(eigs.length, rank)) if rank is not None else eigs.length
@@ -496,13 +490,7 @@ class EigenKernel:
         FZ = FX if Z is None else self.feature_matrix(Z)
         return (FX * self.mu) @ FZ.T
 
-    def kappa_consistent(self) -> bool:
-        """Whether kappa_sq >= trace, as required for sup-norm-1 families."""
-        return self.kappa_sq >= np.sum(self.mu) - 1e-12
-
     def to_json(self) -> dict:
-        if self.family == "custom":
-            raise ValueError("custom eigenfunction families are not serializable")
         return {
             "eigs": self.eigs.to_json(),
             "eigenfunctions": self.family,

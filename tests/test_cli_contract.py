@@ -24,11 +24,14 @@ SUBCOMMANDS = tuple(cli._COMMANDS)
 OWN_FLAGS = {
     "fit": {"--data": "d.csv"},
     "rates": {"--table": "t.csv"},
-    "simulate-risk": {"--seed": "1", "--threads": "2"},
+    "simulate-risk": {"--seed": "1"},
     "erm-failure": {"--seed": "1", "--n": "60", "--B": "2", "--reps": "1"},
     "figure2": {"--seed": "1"},
 }
-ALL_FLAGS = {flag: value for flags in OWN_FLAGS.values() for flag, value in flags.items()}
+# flags no subcommand takes any more: every subcommand refuses them
+REMOVED_FLAGS = {"--threads": "2"}
+ALL_FLAGS = {**{flag: value for flags in OWN_FLAGS.values() for flag, value in flags.items()},
+             **REMOVED_FLAGS}
 
 # (subcommand, config, files to create) for input that must be refused
 MALFORMED = [
@@ -73,6 +76,20 @@ MALFORMED = [
     ("rates", {"table": "missing.csv"}, {}),
     ("rates", {"table": "t.csv"}, {"t.csv": "a,b\n1,2\n"}),
     ("rates", {"table": "t.csv"}, {"t.csv": TABLE + "0,100,2,krr,0.1,nan,1,5,ok\n"}),
+    ("simulate-risk", {**SWEEP, "threads": 2}, {}),  # a removed key
+    # integer keys refuse fractional numbers
+    ("bound-curve", {"eigs": POLY, "grid": {"points": 10.5}}, {}),
+    ("lambda-star", {"eigs": POLY, "n": 8000.9}, {}),
+    ("lower-bound", {"eigs": POLY, "n": 8000.9}, {}),
+    ("critical-radius", {"eigs": POLY, "n": 8000.9}, {}),
+    ("figure1", {"n": 8000.9, "grid": [0.1]}, {}),
+    ("figure2", {"n_list": [60.5], "B_grid": [2.0], "reps": 1}, {}),
+    ("figure2", {"n_list": [60], "B_grid": [2.0], "reps": 1.5}, {}),
+    ("figure2", {"n_list": [60], "B_grid": [2.0], "reps": 1, "seed": 1.5}, {}),
+    ("erm-failure", {"n": 60.5, "B": 2.0, "reps": 1}, {}),
+    ("erm-failure", {"n": 60, "B": 2.0, "reps": 1.5}, {}),
+    ("simulate-risk", {**SWEEP, "n_list": [100.7, 200, 400]}, {}),
+    ("simulate-risk", {**SWEEP, "seed": 7.5}, {}),
 ]
 
 
@@ -105,6 +122,19 @@ def test_flag_a_subcommand_does_not_take_exits_2(cmd, flag):
     with pytest.raises(SystemExit) as exc:
         main([cmd, flag, ALL_FLAGS[flag], "--out", "unused"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cmd,cfg", [
+    ("lambda-star", {"eigs": POLY, "n": 8000}),
+    ("erm-failure", {"n": 60, "B": 2.0, "reps": 2, "D": 8, "seed": 3}),
+    ("simulate-risk", {**SWEEP, "seed": 1, "risk": "mc", "n_mc": 1000}),
+])
+def test_whole_number_floats_read_as_integers(tmp_path, monkeypatch, cmd, cfg):
+    assert run(tmp_path, monkeypatch, [cmd], cfg) == 0
+    ints = (tmp_path / "out").read_bytes()
+    floats = {k: float(v) if isinstance(v, int) else v for k, v in cfg.items()}
+    assert run(tmp_path, monkeypatch, [cmd], floats) == 0
+    assert (tmp_path / "out").read_bytes() == ints
 
 
 def test_bound_curve_at_a_shift_where_s_squared_underflows(tmp_path, monkeypatch):

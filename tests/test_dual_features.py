@@ -184,7 +184,7 @@ fit_reweighted_krr(data, EigenKernel.from_json(kernel), 0.01, mode="dual")
 rows = run_risk_sweep(ExperimentConfig(
     pair={"family": "hypercube", "D": 8}, kernel=kernel, estimator="reweighted",
     lambda_rule={"rule": "poly", "alpha": 1.0}, weight_rule="tau_n", fit_mode="dual",
-    n_list=[50, 100], shift_grid=[2.0], reps=2, seed=1, threads=1))
+    n_list=[50, 100], shift_grid=[2.0], reps=2, seed=1))
 assert all(r.status == "ok" for r in rows)
 data.to_csv("d.csv")
 json.dump({"kernel": kernel, "lambda": 0.01, "mode": "dual", "weighted": True},

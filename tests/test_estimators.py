@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shiftkrr.estimators import (
     FactorizationError,
     ProjectionError,
+    RidgeCore,
     fit_constrained_erm,
     fit_krr,
     fit_reweighted_krr,
@@ -16,8 +17,10 @@ from shiftkrr.estimators import (
     l2q_error,
     predict,
 )
+from shiftkrr.hard_instance import HardInstanceState, g_dual_tail, g_primal
 from shiftkrr.seeding import rng_for
-from shiftkrr.shifts import Dataset, hypercube_hard_pair, truncate_lr, default_truncation
+from shiftkrr.shifts import (Dataset, hypercube_hard_pair, truncate_lr, default_truncation,
+                             sample_dataset)
 from shiftkrr.spectrum import EigenKernel, EigenSequence, psi_complexity
 
 SCALAR_KERNEL = EigenKernel(EigenSequence.finite_rank([1.0]), "hypercube", rank=1)
@@ -316,6 +319,44 @@ def test_fit_rejects_bad_inputs():
         fit_constrained_erm(data, kernel, radius=-1.0)
     with pytest.raises(ValueError):
         fit_krr(data, kernel, 0.1, mode="sideways")
+
+
+def _guarded_calls():
+    kernel, data, rng = random_instance(13)
+    weighted = data.with_weights(rng.uniform(0.5, 2.0, size=len(data)))
+    core = RidgeCore(weighted, kernel, weighted.weights)
+    fit = dict(data=weighted, kernel=kernel, lam=0.1)
+    tail = dict(v_rest=np.full(3, 0.1), mu_rest=np.array([0.25, 0.1, 0.05]), slack=0.5,
+                quad_coeff=0.5)
+    # one valid call per guarded function, and the arguments set in turn to a bad value
+    return [
+        ("fit_krr-primal", fit_krr, {**fit, "mode": "primal"}, ["lam"]),
+        ("fit_krr-dual", fit_krr, {**fit, "mode": "dual"}, ["lam"]),
+        ("fit_reweighted_krr-primal", fit_reweighted_krr, {**fit, "mode": "primal"}, ["lam"]),
+        ("fit_reweighted_krr-dual", fit_reweighted_krr, {**fit, "mode": "dual"}, ["lam"]),
+        ("fit_ridge", core.fit_ridge, dict(lam=0.1), ["lam"]),
+        ("fit_dual", core.fit_dual, dict(lam=0.1), ["lam"]),
+        ("fit_constrained", core.fit_constrained, dict(radius=1.0), ["radius"]),
+        ("fit_constrained_erm", fit_constrained_erm, dict(data=data, kernel=kernel, radius=1.0),
+         ["radius"]),
+        ("g_primal", g_primal,
+         dict(state=HardInstanceState.population(4, 2.0), t=0.5, quad_coeff=1.0), ["quad_coeff"]),
+        ("g_dual_tail", g_dual_tail, tail, ["slack", "quad_coeff"]),
+        ("truncate_lr", truncate_lr, dict(rho_value=np.array([1.0, 5.0]), tau=2.0), ["tau"]),
+        ("sample_dataset", sample_dataset,
+         dict(pair=hypercube_hard_pair(2, 2.0), fstar=lambda x: x[:, 0], sigma=1.0, n=10,
+              seed=0), ["sigma"]),
+    ]
+
+
+@pytest.mark.parametrize("fn,kwargs,arg,bad", [
+    pytest.param(fn, kwargs, arg, bad, id=f"{name}-{arg}-{bad}")
+    for name, fn, kwargs, args in _guarded_calls() for arg in args
+    for bad in ((math.nan, math.inf) if arg == "lam" else (math.nan,))])
+def test_nan_or_infinite_argument_is_rejected(fn, kwargs, arg, bad):
+    fn(**kwargs)
+    with pytest.raises(ValueError):
+        fn(**{**kwargs, arg: bad})
 
 
 def test_nan_responses_raise_factorization_error():

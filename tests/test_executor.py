@@ -14,7 +14,7 @@ import pytest
 import shiftkrr
 from shiftkrr import seeding
 from shiftkrr.estimators import FactorizationError
-from shiftkrr.experiments import ExperimentConfig, figure2, run_risk_sweep
+from shiftkrr.experiments import figure2
 from shiftkrr.hard_instance import simulate_failure
 from shiftkrr.seeding import map_units
 
@@ -63,27 +63,6 @@ def test_figure2_is_independent_of_threads():
     runs = [figure2(n_list=[300, 600], B_grid=[2.0, 8.0], reps=3, seed=4, D=32, threads=t)
             for t in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
-
-
-def test_weighted_dual_sweep_is_independent_of_threads():
-    # the weighted dual path runs its products through OpenBLAS, which the executor pins
-    cfg = dict(
-        pair={"family": "hypercube", "D": 16},
-        kernel={"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube",
-                "rank": 16},
-        estimator="reweighted",
-        lambda_rule={"rule": "poly", "alpha": 1.0},
-        weight_rule="tau_n",
-        fit_mode="dual",
-        n_list=[150, 300],
-        shift_grid=[2.0, 4.0],
-        reps=2,
-        seed=9,
-    )
-    serial = run_risk_sweep(ExperimentConfig(**cfg, threads=1))
-    parallel = run_risk_sweep(ExperimentConfig(**cfg, threads=2))
-    assert serial == parallel
-    assert all(r.status == "ok" for r in serial)
 
 
 def test_erm_failure_bytes_do_not_depend_on_openblas_threads(tmp_path):

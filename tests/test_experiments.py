@@ -5,6 +5,8 @@ import pytest
 
 from shiftkrr import experiments
 from shiftkrr.experiments import (
+    FIGURE1_HEADER,
+    FIGURE2_HEADER,
     ExperimentConfig,
     RiskRow,
     figure1,
@@ -12,6 +14,7 @@ from shiftkrr.experiments import (
     fit_rate_slope,
     fstar_coordinates,
     run_risk_sweep,
+    write_csv,
 )
 from shiftkrr.bounds import lambda_star
 from shiftkrr.estimators import FactorizationError
@@ -95,13 +98,6 @@ def test_run_risk_sweep_deterministic():
     assert rows1 == rows2
     assert len(rows1) == 3
     assert all(r.status == "ok" for r in rows1)
-
-
-def test_run_risk_sweep_threads_match_serial():
-    serial = run_risk_sweep(make_config(n_list=[100, 200], shift_grid=[1.0, 4.0]))
-    threaded = run_risk_sweep(make_config(n_list=[100, 200], shift_grid=[1.0, 4.0],
-                                          threads=3))
-    assert serial == threaded
 
 
 def test_run_risk_sweep_noiseless_realizable():
@@ -235,8 +231,8 @@ def test_figure1_structure_and_argmin():
 
 def test_figure1_csv_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    figure1(out_path=str(p1))
-    figure1(out_path=str(p2))
+    write_csv(str(p1), FIGURE1_HEADER, figure1())
+    write_csv(str(p2), FIGURE1_HEADER, figure1())
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "B,lambda,bias_sq,variance,total,is_argmin"
@@ -244,7 +240,8 @@ def test_figure1_csv_byte_identical(tmp_path):
 
 def test_figure2_small_run(tmp_path):
     out = tmp_path / "f2.csv"
-    rows = figure2(n_list=[400], B_grid=[2.0, 8.0], reps=2, seed=1, out_path=str(out))
+    rows = figure2(n_list=[400], B_grid=[2.0, 8.0], reps=2, seed=1)
+    write_csv(str(out), FIGURE2_HEADER, rows)
     assert [r[:2] for r in rows] == [[400, 2.0], [400, 8.0]]
     assert out.read_text().splitlines()[0] == "n,B,median_hnorm_sq,reps"
     again = figure2(n_list=[400], B_grid=[2.0, 8.0], reps=2, seed=1)

@@ -139,7 +139,7 @@ def test_duality_gap_against_primal_oracle():
         # and g_primal agrees once the first-coordinate terms are added back
         cov = np.eye(D)
         cov[0, 0] = 1.0 / 4.0
-        st = HardInstanceState(D=D, B=4.0, empirical_cov=cov, v=v)
+        st = HardInstanceState(D=D, empirical_cov=cov, v=v)
         c0 = q * (t - 1.0) ** 2 * cov[0, 0] - 2.0 * v[0] * (t - 1.0)
         assert g_primal(st, t, quad_coeff=q) == pytest.approx(c0 + primal_val, abs=1e-6)
 
@@ -149,7 +149,7 @@ def test_g_primal_on_sampled_covariance_vs_oracle():
     st = HardInstanceState.from_sample(300, 8.0, 1.0, 10, seed=3)
     rng = rng_for(4)
     for t in [0.0, 0.4, 0.85]:
-        got = g_primal(st, t, quad_coeff=1.0, grid_size=500)
+        got = g_primal(st, t, quad_coeff=1.0)
         # oracle: projected gradient on the same quadratic, run cold
         mu = st.mu
         ms = np.sqrt(mu[1:])
@@ -168,7 +168,7 @@ def test_g_continuity_on_sampled_instance():
     # no step may exceed 10x its neighboring steps
     st = HardInstanceState.from_sample(200, 4.0, 1.0, 20, seed=5)
     ts = np.linspace(0.0, 1.0, 1000)
-    vals = np.array([g_primal(st, float(t), grid_size=50) for t in ts])
+    vals = np.array([g_primal(st, float(t)) for t in ts])
     diffs = np.abs(np.diff(vals))
     tiny = 1e-9 * (np.max(np.abs(vals)) + 1.0)
     for i in range(len(diffs)):
@@ -254,10 +254,10 @@ def test_simulate_failure_deterministic():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        HardInstanceState(D=3, B=2.0, empirical_cov=np.zeros((2, 2)), v=np.zeros(3))
+        HardInstanceState(D=3, empirical_cov=np.zeros((2, 2)), v=np.zeros(3))
     asym = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        HardInstanceState(D=2, B=2.0, empirical_cov=asym, v=np.zeros(2))
+        HardInstanceState(D=2, empirical_cov=asym, v=np.zeros(2))
 
 
 def test_g_primal_eigendecomposes_once_per_state(monkeypatch):

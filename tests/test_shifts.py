@@ -143,20 +143,6 @@ def test_sample_dataset_noise_variance():
     assert abs(np.var(resid) - 1.0) < 0.02
 
 
-def test_sample_dataset_rademacher():
-    pair = hypercube_hard_pair(2, 1.0)
-    fstar = lambda x: np.zeros(len(x))
-    data = sample_dataset(pair, fstar, sigma=0.7, n=1000, seed=14, noise="rademacher")
-    assert set(np.unique(data.ys)) == {-0.7, 0.7}
-
-
-def test_sample_dataset_from_target():
-    pair = hypercube_hard_pair(3, 50.0)
-    fstar = lambda x: x[:, 0]
-    data = sample_dataset(pair, fstar, sigma=0.0, n=2000, seed=15, from_target=True)
-    assert np.all(np.abs(data.xs[:, 0]) == 1.0)  # target never puts x_1 = 0
-
-
 def test_no_shift_chi_sq_is_zero():
     pair = hypercube_hard_pair(2, 1.0)
     m2, chi = estimate_chi_sq_moment(pair, 10**4, seed=16)

@@ -225,7 +225,6 @@ def test_kernel_gram_and_kappa():
         ]
     )
     assert np.allclose(K, expect, atol=1e-14)
-    assert kern.kappa_consistent()
     assert kern.kappa_sq == pytest.approx(1.35)
 
 
@@ -247,9 +246,10 @@ def test_hermite_features_orthonormal_to_rank_200():
 
 def test_uncapped_feature_families_need_explicit_rank():
     poly = EigenSequence.poly_decay(1.0)
-    for features in ("hermite", hermite_features):
-        with pytest.raises(ValueError, match="explicit rank"):
-            EigenKernel(poly, features)
+    with pytest.raises(ValueError, match="explicit rank"):
+        EigenKernel(poly, "hermite")
+    with pytest.raises(ValueError, match="unknown eigenfunction family"):
+        EigenKernel(poly, hermite_features)  # a callable is no family
     assert EigenKernel(poly, "hermite", rank=8).rank == 8
     assert EigenKernel(EigenSequence.finite_rank([1.0, 0.5]), "hermite").rank == 2
 
