@@ -2,15 +2,16 @@
 
 Every fit comes from one core.  ``RidgeCore`` reduces a dataset to its
 weighted ridge statistics in the kernel's eigen-coordinates,
-G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and eigendecomposes
-G once.  Ridge and reweighted ridge at any lam, and the norm-constrained
-ERM through the ball-constrained quadratic ``ball_quadratic_min``, are
-read off that one eigendecomposition, so fitting several estimators on
-one dataset forms one Gram matrix.
+G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y.  A ridge fit at one
+lam is one linear solve of (G + n lam I) z = c.  The norm-constrained ERM
+(through the ball-constrained quadratic ``ball_quadratic_min``) and the
+dual need the spectrum of G, which the core computes on first use and
+keeps, so every later fit on the same dataset, ridge fits included, reads
+the same eigendecomposition.
 
 Ridge and reweighted ridge also have a ``dual`` mode, with coefficients
 alpha over the training points from the regularized kernel system.  It
-solves that system through the same eigendecomposition, by the Woodbury
+solves that system through the eigendecomposition of G, by the Woodbury
 identity on the scaled features; neither the kernel matrix nor any
 n x n array is formed.  ERM is the ridge fit at its multiplier, so every
 fit passes one stationarity check.
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .seeding import rng_for
+from .seeding import one_blas_thread, rng_for
 from .shifts import Dataset, ShiftPair
 from .spectrum import EigenKernel
 
@@ -144,11 +145,17 @@ class RidgeCore:
 
     Over the kernel's nonzero eigenvalues M, with raw features F and
     weights W (unit by default), the dataset reduces to
-    G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and one
-    eigendecomposition G = U diag(s) U^T gives every ridge solution
-    z(xi) = U diag(1/(s + n xi)) U^T c, with theta = M^(1/2) z.  M^(1/2)
-    is applied after the product, so unweighted data make no n x D copy
-    of the features.  The core keeps W^(1/2) F and W^(1/2) y for the dual.
+    G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and every ridge
+    solution solves (G + n xi I) z(xi) = c, with theta = M^(1/2) z.
+    M^(1/2) is applied after the product, so unweighted data make no
+    n x D copy of the features.  The core keeps W^(1/2) F and W^(1/2) y
+    for the dual.
+
+    G is decomposed only when a fit needs its spectrum: ``spectrum``
+    computes G = U diag(s) U^T on first use, for the ERM multiplier and
+    the dual, and keeps it.  A ridge fit reads z(xi) = U diag(1/(s + n xi)) U^T c
+    off a spectrum the core already holds and otherwise makes one linear
+    solve, so one lam costs no eigendecomposition.
     """
 
     def __init__(self, data: Dataset, kernel: EigenKernel,
@@ -163,7 +170,7 @@ class RidgeCore:
             F = F * self._root_w[:, None]
             ys = self._root_w * ys
         self._F, self._y = F, ys
-        self._factor(kernel, len(data), F.T @ F, F.T @ ys)
+        self._reduce(kernel, len(data), F.T @ F, F.T @ ys)
 
     @classmethod
     def from_moments(cls, kernel: EigenKernel, n: int, FtWF: np.ndarray,
@@ -172,14 +179,14 @@ class RidgeCore:
 
         F holds the features of the kernel's nonzero eigenvalues only, so
         callers that form the moments themselves (in blocks, or in another
-        precision) reach the same eigendecomposition as the constructor.
+        precision) reach the same statistics as the constructor.
         """
         core = cls.__new__(cls)
         core._F = None
-        core._factor(kernel, n, FtWF, FtWy)
+        core._reduce(kernel, n, FtWF, FtWy)
         return core
 
-    def _factor(self, kernel: EigenKernel, n: int, FtWF: np.ndarray,
+    def _reduce(self, kernel: EigenKernel, n: int, FtWF: np.ndarray,
                 FtWy: np.ndarray) -> None:
         self.kernel = kernel
         self.n = n
@@ -188,12 +195,23 @@ class RidgeCore:
         # scaling by an outer product keeps G as symmetric as F^T W F
         self.G = FtWF * np.outer(self.sqrt_mu, self.sqrt_mu)
         self.c = self.sqrt_mu * FtWy
-        try:
-            s, self.U = np.linalg.eigh(self.G)
-        except np.linalg.LinAlgError as err:
-            raise FactorizationError(f"factorization failed: {err}") from err
-        self.s = np.clip(s, 0.0, None)
-        self.ct = self.U.T @ self.c
+        self._spectrum = None
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, U, U^T c) with G = U diag(s) U^T and s clipped at 0, computed once.
+
+        The eigendecomposition runs on one BLAS thread, so its bytes do
+        not depend on the caller's thread count.
+        """
+        if self._spectrum is None:
+            try:
+                with one_blas_thread():
+                    s, U = np.linalg.eigh(self.G)
+            except np.linalg.LinAlgError as err:
+                raise FactorizationError(f"factorization failed: {err}") from err
+            self._spectrum = (np.clip(s, 0.0, None), U, U.T @ self.c)
+        return self._spectrum
 
     def _model(self, z: np.ndarray, lam: float, alpha: Optional[np.ndarray] = None) -> FittedModel:
         theta = np.zeros(self.kernel.rank)
@@ -202,12 +220,28 @@ class RidgeCore:
                            theta=theta, lam=lam, alpha=alpha)
 
     def fit_ridge(self, lam: float) -> FittedModel:
-        """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c."""
+        """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c.
+
+        z is read off the spectrum when the core holds one, and is
+        otherwise one LU solve of G + n lam I on one BLAS thread.
+        """
         if not 0 < lam < math.inf:  # also rejects NaN
             raise ValueError("lam must be finite and positive")
         nlam = self.n * lam
-        z = self.U @ (self.ct / (self.s + nlam))
-        _check_residual(self.G @ z + nlam * z - self.c, self.c)
+        # a lam small enough to overflow the solve fails the NaN-safe check instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._spectrum is not None:
+                s, U, ct = self._spectrum
+                z = U @ (ct / (s + nlam))
+            else:
+                A = self.G.copy()
+                A.flat[::len(A) + 1] += nlam
+                try:
+                    with one_blas_thread():
+                        z = np.linalg.solve(A, self.c)
+                except np.linalg.LinAlgError as err:
+                    raise FactorizationError(f"factorization failed: {err}") from err
+            _check_residual(self.G @ z + nlam * z - self.c, self.c)
         return self._model(z, lam)
 
     def fit_dual(self, lam: float) -> FittedModel:
@@ -232,11 +266,12 @@ class RidgeCore:
         if self._F is None:
             raise ValueError("a core built from moments has no dual fit")
         nlam = self.n * lam
+        s, U, ct = self.spectrum
         Fs, rhs = self._F * self.sqrt_mu, self._y
         root_w = 1.0 if self._root_w is None else self._root_w
 
         def solve(v):
-            return (v - Fs @ (self.U @ ((self.U.T @ (Fs.T @ v)) / (self.s + nlam)))) / nlam
+            return (v - Fs @ (U @ ((U.T @ (Fs.T @ v)) / (s + nlam)))) / nlam
 
         # a lam small enough to overflow the solve fails the NaN-safe check instead
         with np.errstate(over="ignore", invalid="ignore"):
@@ -245,7 +280,7 @@ class RidgeCore:
                 beta += solve(rhs - Fs @ (Fs.T @ beta) - nlam * beta)
             _check_residual(root_w * (Fs @ (Fs.T @ beta) + nlam * beta - rhs), root_w * rhs)
         rows = len(rhs) if self._root_w is None else np.count_nonzero(self._root_w)
-        z = self.U @ (self.ct / (self.s + nlam)) if len(self.s) <= rows else Fs.T @ beta
+        z = U @ (ct / (s + nlam)) if len(s) <= rows else Fs.T @ beta
         return self._model(z, lam, alpha=root_w * beta)
 
     def fit_constrained(self, radius: float) -> FittedModel:
@@ -253,10 +288,11 @@ class RidgeCore:
         if not radius > 0:  # also rejects NaN
             raise ValueError("radius must be positive")
         n = self.n
+        s, _, ct = self.spectrum
         trace_K = float(np.trace(self.G))  # sum_i w_i K(x_i, x_i)
-        _, xi = ball_quadratic_min(self.s / n, self.ct / n, radius)
+        _, xi = ball_quadratic_min(s / n, ct / n, radius)
         xi_star = max(xi, 1e-10 * trace_K / n, 1e-300)
-        z = self.ct / (self.s + n * xi_star)
+        z = ct / (s + n * xi_star)
         if not np.linalg.norm(z) <= radius * (1.0 + PROJECTION_RTOL):
             raise ProjectionError("constraint projection failed")
         return self.fit_ridge(xi_star)

@@ -36,7 +36,7 @@ from .estimators import (
     hilbert_norm_sq,
     l2q_error,
 )
-from .hard_instance import failure_cell
+from .hard_instance import hard_pair_cell
 from .seeding import derive_seed, map_units
 from .shifts import Dataset, ShiftPair, default_truncation, sample_dataset, truncate_lr
 from .spectrum import EigenKernel, EigenSequence, default_grid
@@ -362,10 +362,12 @@ def figure2(
 
     Each sample size contributes one curve over the part of the B grid it
     supports: cells with B > n^(2/3) fall outside the hard-pair validity
-    range and are skipped, so smaller-n curves simply end earlier.  The
-    replications of all cells form one list of units for ``map_units`` on
-    ``threads`` workers (all cores by default); the rows do not depend on
-    the worker count.
+    range and are skipped, so smaller-n curves simply end earlier.  A
+    replicate draws the data of ``hard_instance.hard_pair_cell`` and fits
+    only the KRR it reports, one linear solve with no ERM and no
+    eigendecomposition.  The replications of all cells form one list of
+    units for ``map_units`` on ``threads`` workers (all cores by default);
+    the rows do not depend on the worker count.
     """
     if not reps >= 1:  # also rejects NaN
         raise ValueError("figure2 needs reps >= 1")
@@ -374,12 +376,17 @@ def figure2(
     cells = [(int(n), float(B), derive_seed(seed, ni, bi))
              for ni, n in enumerate(n_list) for bi, B in enumerate(B_grid)
              if B <= float(n) ** (2.0 / 3.0) + 1e-9]
-    replicates = [failure_cell(n, B, sigma_sq=sigma_sq, D=D, seed=s) for n, B, s in cells]
-    recs = map_units(lambda unit: replicates[unit[0]](unit[1]),
-                     [(k, rep) for k in range(len(cells)) for rep in range(reps)], threads)
+    cores = [hard_pair_cell(n, B, sigma_sq=sigma_sq, D=D, seed=s) for n, B, s in cells]
+
+    def krr_hnorm_sq(k: int, rep: int) -> float:
+        core_of, lam = cores[k]
+        return hilbert_norm_sq(core_of(rep).fit_ridge(lam))
+
+    norms = map_units(lambda unit: krr_hnorm_sq(*unit),
+                      [(k, rep) for k in range(len(cells)) for rep in range(reps)], threads)
     rows = []
     for k, (n, B, _) in enumerate(cells):
-        med = float(np.median([r.krr_hnorm_sq for r in recs[k * reps:(k + 1) * reps]]))
+        med = float(np.median(norms[k * reps:(k + 1) * reps]))
         rows.append([n, B, med, reps])
     return rows
 

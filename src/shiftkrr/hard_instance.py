@@ -223,18 +223,23 @@ def krr_lambda_rule(n: int, B: float) -> float:
     return 4.0 ** (2.0 / 3.0) * n ** (-2.0 / 3.0) * B ** (-1.0 / 3.0)
 
 
-def failure_cell(
+def hard_pair_cell(
     n: int,
     B: float,
     sigma_sq: float = 1.0,
     D: Optional[int] = None,
     seed: int = 0,
-) -> Callable[[int], FailureRecord]:
-    """Check one (n, B) cell of ``simulate_failure``; return its replicate function.
+) -> tuple[Callable[[int], RidgeCore], float]:
+    """Check one (n, B) cell of the hard pair; return its replicate cores and KRR level.
 
-    The function maps rep to the ``FailureRecord`` of replication rep,
-    which depends on (seed, rep) alone, so replications can run in any
-    order and on any worker.
+    The first value maps rep to the ``RidgeCore`` of replication rep: n
+    source points of the hard hypercube pair, drawn from the stream
+    ``rng_for(derive_seed(seed, rep), 1)``, covariates first and then the
+    N(0, sigma^2) noise of the responses y = x_1 + noise.  A core depends
+    on (seed, rep) alone, so replications can run in any order and on any
+    worker.  The second value is the prescribed ridge level
+    ``krr_lambda_rule(n, B)``.  The ambient dimension defaults to
+    min(n, 512); coordinates beyond 512 carry under 0.2% of the trace.
     """
     if not 1.0 <= B <= n ** (2.0 / 3.0) + 1e-9:
         raise ValueError("B must lie in [1, n^(2/3)]")
@@ -245,20 +250,40 @@ def failure_cell(
     if D > n:
         raise ValueError("D must not exceed n")
     kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=D)
-    theta_star = np.zeros(D)
-    theta_star[0] = 1.0
-    lam = krr_lambda_rule(n, B)
     sigma = math.sqrt(sigma_sq)
 
-    def replicate(rep: int) -> FailureRecord:
+    def core(rep: int) -> RidgeCore:
         rng = rng_for(derive_seed(seed, rep), 1)
         x = hard_pair_design(n, D, B, rng)
         ys = x[:, 0].astype(float)
         if sigma > 0:
             ys += rng.normal(0.0, sigma, size=n)
-        core = RidgeCore.from_moments(kernel, n, *hard_pair_moments(x, ys))
+        return RidgeCore.from_moments(kernel, n, *hard_pair_moments(x, ys))
+
+    return core, krr_lambda_rule(n, B)
+
+
+def failure_cell(
+    n: int,
+    B: float,
+    sigma_sq: float = 1.0,
+    D: Optional[int] = None,
+    seed: int = 0,
+) -> Callable[[int], FailureRecord]:
+    """Check one (n, B) cell of ``simulate_failure``; return its replicate function.
+
+    The function maps rep to the ``FailureRecord`` of replication rep on
+    the core of ``hard_pair_cell``.  ERM runs first and decomposes G;
+    KRR then reads its solution off the same spectrum.
+    """
+    core_of, lam = hard_pair_cell(n, B, sigma_sq=sigma_sq, D=D, seed=seed)
+
+    def replicate(rep: int) -> FailureRecord:
+        core = core_of(rep)
         erm = core.fit_constrained(1.0)
         krr = core.fit_ridge(lam)
+        theta_star = np.zeros(core.kernel.rank)
+        theta_star[0] = 1.0
         return FailureRecord(
             rep=rep,
             n=n,
@@ -287,12 +312,12 @@ def simulate_failure(
     with f* = phi_1 and N(0, sigma^2) noise, fits (a) the empirical risk
     minimizer over the unit Hilbert ball and (b) KRR at
     lambda = 4^(2/3) n^(-2/3) B^(-1/3), both from one ``RidgeCore`` (one
-    Gram matrix and one eigendecomposition per replication), and records
-    exact coordinate risks and the KRR Hilbert norm.  The ambient
-    dimension defaults to min(n, 512); coordinates beyond 512 carry under
-    0.2% of the trace.  Replications run through ``map_units`` on
-    ``threads`` workers (all cores by default); the records do not depend
-    on the worker count.
+    Gram matrix and one eigendecomposition per replication, which ERM
+    needs and KRR reuses), and records exact coordinate risks and the KRR
+    Hilbert norm.  The ambient dimension defaults to min(n, 512);
+    coordinates beyond 512 carry under 0.2% of the trace.  Replications
+    run through ``map_units`` on ``threads`` workers (all cores by
+    default); the records do not depend on the worker count.
     """
     if not reps >= 1:  # also rejects NaN
         raise ValueError("simulate_failure needs reps >= 1")

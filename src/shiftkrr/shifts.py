@@ -68,27 +68,29 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"dataset CSV {path} is empty")
-            ncols = len(header)
-            has_weight = header[-1] == "weight"
-            d = ncols - 2 if has_weight else ncols - 1
-            xs, ys, ws = [], [], []
-            for row in reader:
-                vals = list(map(float, row))
-                if len(vals) != ncols:
-                    raise ValueError(f"dataset CSV {path}: a row has {len(vals)} fields, "
-                                     f"the header {ncols}")
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError(f"dataset CSV {path}: a row holds a value that is not finite")
-                xs.append(vals[:d])
-                ys.append(vals[d])
-                if has_weight:
-                    ws.append(vals[d + 1])
-        return cls(np.array(xs), np.array(ys), np.array(ws) if has_weight else None)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        header = next(csv.reader(lines[:1]), None)
+        if header is None:
+            raise ValueError(f"dataset CSV {path} is empty")
+        ncols = len(header)
+        if not any(map(str.strip, lines[1:])):
+            raise ValueError(f"dataset CSV {path} has a header but no rows")
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
+            width = table.shape[1]
+        except ValueError:
+            # loadtxt measures a ragged row against the first row, not the header
+            width = next((len(row) for row in csv.reader(lines[1:]) if len(row) != ncols), ncols)
+            if width == ncols:
+                raise
+        if width != ncols:
+            raise ValueError(f"dataset CSV {path}: a row has {width} fields, the header {ncols}")
+        if not np.all(np.isfinite(table)):
+            raise ValueError(f"dataset CSV {path}: a row holds a value that is not finite")
+        has_weight = header[-1] == "weight"
+        d = ncols - 2 if has_weight else ncols - 1
+        return cls(table[:, :d], table[:, d], table[:, d + 1] if has_weight else None)
 
 
 @dataclass

@@ -197,6 +197,38 @@ def test_dataset_validation_and_csv(tmp_path):
     assert np.array_equal(back.weights, data.weights)
 
 
+def test_dataset_csv_round_trip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.normal(size=(30, 3)) * 10.0 ** rng.integers(-300, 300, size=(30, 3)),
+                   rng.normal(size=30), rng.uniform(0.0, 5.0, size=30))
+    path = tmp_path / "d.csv"
+    data.to_csv(str(path))
+    back = Dataset.from_csv(str(path))
+    for got, want in ((back.xs, data.xs), (back.ys, data.ys), (back.weights, data.weights)):
+        assert got.tobytes() == want.tobytes()
+    # without a weight column the last column holds the responses
+    path.write_text("x_1,x_2,y\n1,-1,0.5\n")
+    back = Dataset.from_csv(str(path))
+    assert back.xs.tolist() == [[1.0, -1.0]] and back.ys.tolist() == [0.5]
+    assert back.weights is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("x_1,x_2,y,weight\n", "has a header but no rows"),
+    ("x_1,x_2,y,weight\n\n", "has a header but no rows"),
+    ("x_1,x_2,y,weight\n1,-1,0.5,1\n1,-1\n", ": a row has 2 fields, the header 4"),
+    ("x_1,x_2,y,weight\n1,-1,0.5\n1,1,0.5\n", ": a row has 3 fields, the header 4"),
+    ("x_1,x_2,y,weight\n1,-1,0.5,1,7\n", ": a row has 5 fields, the header 4"),
+    ("x_1,x_2,y,weight\n1,a,0.5,1\n", "could not convert"),
+])
+def test_malformed_dataset_csv_is_refused(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        Dataset.from_csv(str(path))
+
+
 @pytest.mark.parametrize("row", ["nan,1,0.5,1", "1,inf,0.5,1", "1,1,nan,1", "1,1,-inf,1"])
 def test_dataset_csv_with_a_value_that_is_not_finite_is_refused(tmp_path, row):
     path = tmp_path / "d.csv"
