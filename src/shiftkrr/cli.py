@@ -273,7 +273,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, TypeError, KeyError, OSError, OverflowError) as err:
+    # an input too large to allocate, such as a grid of 2^45 points, is a config error
+    except (ConfigError, ValueError, TypeError, KeyError, OSError, OverflowError,
+            MemoryError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     return 0

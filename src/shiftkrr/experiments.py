@@ -273,6 +273,20 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
     return [row for rows in per_cell for row in rows]
 
 
+def _median(values: Sequence[float]) -> float:
+    """``np.median`` of a nonempty sequence of floats, bit for bit, NaN included.
+
+    The middle value, or the mean (a + b) / 2 of the two middle values.
+    Sorting in Python spares the import of ``numpy.ma`` that ``np.median``
+    makes on its first call in a process.
+    """
+    v = sorted(values)
+    if any(map(math.isnan, v)):
+        return math.nan
+    k = len(v) // 2
+    return float(v[k] if len(v) % 2 else (v[k - 1] + v[k]) / 2)
+
+
 @dataclass(frozen=True)
 class RateSlope:
     slope: float
@@ -300,7 +314,7 @@ def fit_rate_slope(
         if len(by_n) < 3:
             raise ValueError("insufficient n grid")
         ns = np.array(sorted(by_n))
-        med = np.array([np.median(by_n[n]) for n in ns])
+        med = np.array([_median(by_n[n]) for n in ns])
         if not np.all(med > 0):
             raise ValueError(f"median risk must be positive for a log-log slope (group {key})")
         x = np.log(ns.astype(float))
@@ -386,7 +400,7 @@ def figure2(
                       [(k, rep) for k in range(len(cells)) for rep in range(reps)], threads)
     rows = []
     for k, (n, B, _) in enumerate(cells):
-        med = float(np.median(norms[k * reps:(k + 1) * reps]))
+        med = _median(norms[k * reps:(k + 1) * reps])
         rows.append([n, B, med, reps])
     return rows
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error
 from .seeding import derive_seed, map_units, one_blas_thread, rng_for
-from .shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design
+from .shifts import HYPERCUBE_BLOCK_ROWS, _check_hard_pair
 from .spectrum import EigenKernel, EigenSequence
 
 
@@ -82,38 +82,105 @@ class HardInstanceState:
 
     @classmethod
     def from_sample(cls, n: int, B: float, sigma_sq: float, D: int, seed: int) -> "HardInstanceState":
-        """Sample n hard-pair source points and collect (cov, v)."""
-        rng = rng_for(seed, 17)
-        x = hard_pair_design(n, D, B, rng)
-        w = rng.normal(0.0, math.sqrt(sigma_sq), size=n)
-        xtx, xtw = hard_pair_moments(x, w)
+        """Sample n hard-pair source points and collect (cov, v).
+
+        The points and the N(0, sigma_sq) noise w come from the stream
+        ``rng_for(seed, 17)`` through ``sample_hard_pair_moments``, which
+        returns x^T x and x^T w without forming the n x D sample, so cov
+        equals x^T x / n of the drawn design bit for bit.
+        """
+        xtx, xtw = sample_hard_pair_moments(n, D, B, math.sqrt(sigma_sq), rng_for(seed, 17))
         return cls(D=D, empirical_cov=xtx / n, v=xtw / n)
 
 
-def hard_pair_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x^T x, x^T y) in float64 for an int8 design x with entries in {-1, 0, 1}.
+#: rows of each float64 sub-block in the x^T e sum: an eighth of a sign
+#: block, so the sub-block's float64 copy is 1 MiB at D = 512
+_XTE_ROWS = HYPERCUBE_BLOCK_ROWS // 8
 
-    Each row block of ``HYPERCUBE_BLOCK_ROWS`` is multiplied in float32,
-    where every entry of the block's Gram is an integer of magnitude at
-    most the block's row count (< 2^24), and the blocks are summed in
-    float64, so x^T x equals the float64 product bit for bit.  x^T y is
-    summed in float64 over the same blocks.  One float32 and one float64
-    block buffer serve every block.
+
+def _advanced(state: dict, words: int) -> np.random.Generator:
+    """A PCG64 generator in ``state`` moved on by ``words`` 64-bit draws."""
+    bitgen = np.random.PCG64(0)
+    bitgen.state = state
+    bitgen.advance(words)
+    return np.random.Generator(bitgen)
+
+
+def sample_hard_pair_moments(
+    n: int, D: int, B: float, sigma: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x^T x, x^T e) in float64 of n hard-pair source points x and N(0, sigma^2) noise e.
+
+    The sample is that of ``shifts.hard_pair_design(n, D, B, rng)``
+    followed by ``rng.normal(0.0, sigma, size=n)`` (no noise draw when
+    sigma = 0), and the generator is left in the state that draw leaves,
+    but no n x D array is formed: memory is O(HYPERCUBE_BLOCK_ROWS * D + D^2)
+    whatever n is.  Each block of ``HYPERCUBE_BLOCK_ROWS`` rows is one pass:
+    * its signs are the top bits of the half-words of ``random_raw``
+      (see ``shifts.hypercube_signs``), turned into +-1 float32 in the
+      words' own buffer by ``(u & 0x80000000) ^ 0xBF800000``;
+    * its masked rows get x_1 = 0, from a copy of the generator moved
+      past all n * D signs, as the mask is drawn after the design;
+    * its float32 Gram, exact since every entry is an integer below
+      2^24, is added to x^T x, so x^T x equals the float64 product bit
+      for bit;
+    * its noise, from a copy moved a further n words past the mask,
+      enters x^T e in float64 over sub-blocks of ``_XTE_ROWS`` rows.
+    A mask or noise value takes one 64-bit word and ``advance`` needs a
+    PCG64, so any other bit generator raises ``TypeError``.
     """
-    n, D = x.shape
+    _check_hard_pair(D, B)
+    if not 0 <= sigma < math.inf:  # also rejects NaN
+        raise ValueError("sigma must be finite and nonnegative")
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise TypeError(f"sample_hard_pair_moments needs a PCG64 generator, "
+                        f"not {type(bitgen).__name__}")
+    entry = bitgen.state
+    total = n * D
+    # a half-word buffered on entry is the first sign
+    carry = np.uint32(entry["uinteger"]) if total and entry["has_uint32"] else None
+    halves = total - (carry is not None)
+    words = (halves + 1) // 2
+    masked = B > 1
+    mask_rng = _advanced(entry, words) if masked else None
+    noise_rng = _advanced(entry, words + n * masked) if sigma > 0 else None
     xtx = np.zeros((D, D))
-    xty = np.zeros(D)
-    rows = min(n, HYPERCUBE_BLOCK_ROWS)
-    b32 = np.empty((rows, D), dtype=np.float32)
-    b64 = np.empty((rows, D))
+    xte = np.zeros(D)
+    sub = np.empty((min(n, _XTE_ROWS), D)) if sigma > 0 else None
+    uinteger = entry["uinteger"]
     for i in range(0, n, HYPERCUBE_BLOCK_ROWS):
-        x_blk = x[i:i + HYPERCUBE_BLOCK_ROWS]
-        m = len(x_blk)
-        np.copyto(b32[:m], x_blk)
-        np.copyto(b64[:m], x_blk)
-        xtx += b32[:m].T @ b32[:m]
-        xty += y[i:i + m] @ b64[:m]
-    return xtx, xty
+        m = min(HYPERCUBE_BLOCK_ROWS, n - i)
+        size = m * D
+        # as little-endian bytes, each word reads as its low, then its high half
+        raw = bitgen.random_raw((size - (carry is not None) + 1) // 2).astype(
+            "<u8", copy=False).view("<u4")
+        if len(raw):
+            uinteger = int(raw[-1])
+        if carry is not None:
+            raw = np.concatenate(([carry], raw))
+        carry = raw[size] if len(raw) > size else None
+        np.bitwise_and(raw, 0x80000000, out=raw)
+        np.bitwise_xor(raw, 0xBF800000, out=raw)  # -1.0 as float32, +1.0 with the top bit
+        a = raw.view(np.float32)[:size].reshape(m, D)
+        if masked:
+            a[mask_rng.random(m) >= 1.0 / B, 0] = 0
+        xtx += a.T @ a
+        if sigma > 0:
+            e = noise_rng.normal(0.0, sigma, size=m)
+            for j in range(0, m, _XTE_ROWS):
+                blk = sub[:min(_XTE_ROWS, m - j)]
+                np.copyto(blk, a[j:j + len(blk)])
+                xte += e[j:j + len(blk)] @ blk
+        del raw, a  # free this block before the next one is drawn
+    # the caller's generator as the noise, else the mask, else the signs leave it,
+    # with the half-word buffer as integers() leaves it: the high half of its
+    # last word, still unused when an odd count of half-words was drawn
+    state = (noise_rng or mask_rng or rng).bit_generator.state
+    state["uinteger"] = uinteger
+    state["has_uint32"] = halves % 2 if words else int(total == 0 and entry["has_uint32"])
+    bitgen.state = state
+    return xtx, xte
 
 
 def g_dual_tail(
@@ -235,9 +302,11 @@ def hard_pair_cell(
     The first value maps rep to the ``RidgeCore`` of replication rep: n
     source points of the hard hypercube pair, drawn from the stream
     ``rng_for(derive_seed(seed, rep), 1)``, covariates first and then the
-    N(0, sigma^2) noise of the responses y = x_1 + noise.  A core depends
-    on (seed, rep) alone, so replications can run in any order and on any
-    worker.  The second value is the prescribed ridge level
+    N(0, sigma^2) noise e of the responses y = x_1 + e.  The core is built
+    from the moments of ``sample_hard_pair_moments``, x^T x and
+    x^T y = (x^T x) e_1 + x^T e, so no replicate holds an n x D array.  A
+    core depends on (seed, rep) alone, so replications can run in any
+    order and on any worker.  The second value is the prescribed ridge level
     ``krr_lambda_rule(n, B)``.  The ambient dimension defaults to
     min(n, 512); coordinates beyond 512 carry under 0.2% of the trace.
     """
@@ -253,12 +322,8 @@ def hard_pair_cell(
     sigma = math.sqrt(sigma_sq)
 
     def core(rep: int) -> RidgeCore:
-        rng = rng_for(derive_seed(seed, rep), 1)
-        x = hard_pair_design(n, D, B, rng)
-        ys = x[:, 0].astype(float)
-        if sigma > 0:
-            ys += rng.normal(0.0, sigma, size=n)
-        return RidgeCore.from_moments(kernel, n, *hard_pair_moments(x, ys))
+        xtx, xte = sample_hard_pair_moments(n, D, B, sigma, rng_for(derive_seed(seed, rep), 1))
+        return RidgeCore.from_moments(kernel, n, xtx, xtx[:, 0] + xte)
 
     return core, krr_lambda_rule(n, B)
 

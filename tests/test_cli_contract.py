@@ -239,6 +239,18 @@ def test_fit_data_that_is_not_finite_exits_2_naming_the_file(tmp_path, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cmd,cfg", [
+    ("bound-curve", {"eigs": POLY, "grid": {"points": 2**45}}),
+    ("figure1", {"grid": {"points": 2**45}}),
+])
+def test_grid_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys, cmd, cfg):
+    # 2^45 float64 points are 256 TiB, refused before any memory is touched
+    assert run(tmp_path, monkeypatch, [cmd], cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_critical_radius_with_no_root_on_its_grid_exits_3(tmp_path, monkeypatch, capsys):
     cfg = {"eigs": POLY, "n": 2, "grid": [1e-8]}
     assert run(tmp_path, monkeypatch, ["critical-radius"], cfg) == 3

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftkrr.hard_instance import HardInstanceState, hard_pair_moments
+from shiftkrr.hard_instance import _XTE_ROWS, HardInstanceState, sample_hard_pair_moments
 from shiftkrr.seeding import rng_for
 from shiftkrr.shifts import (
     HYPERCUBE_BLOCK_ROWS,
@@ -63,12 +63,12 @@ def test_float32_block_gram_equals_the_float64_product():
     n, D = 20000, 96
     rng = rng_for(5)
     x = hard_pair_design(n, D, 16.0, rng)
-    y = x[:, 0] + rng.normal(size=n)
-    xtx, xty = hard_pair_moments(x, y)
+    e = rng.normal(size=n)
+    xtx, xte = sample_hard_pair_moments(n, D, 16.0, 1.0, rng_for(5))
     xf = x.astype(float)
     assert xtx.dtype == np.float64
     assert np.array_equal(xtx, xf.T @ xf)
-    np.testing.assert_allclose(xty, xf.T @ y, rtol=1e-12, atol=1e-12 * np.linalg.norm(y))
+    np.testing.assert_allclose(xte, xf.T @ e, rtol=1e-12, atol=1e-12 * np.linalg.norm(e))
 
 
 def test_sampled_state_covariance_is_bit_identical():
@@ -124,8 +124,8 @@ def test_xty_is_the_float64_block_sum_bit_for_bit():
     n, D = 2 * BLOCK + 77, 48
     rng = rng_for(8)
     x = hard_pair_design(n, D, 16.0, rng)
-    y = rng.normal(size=n)
+    e = rng.normal(size=n)
     expected = np.zeros(D)
-    for i in range(0, n, BLOCK):
-        expected += y[i:i + BLOCK] @ x[i:i + BLOCK].astype(float)
-    assert np.array_equal(hard_pair_moments(x, y)[1], expected)
+    for i in range(0, n, _XTE_ROWS):
+        expected += e[i:i + _XTE_ROWS] @ x[i:i + _XTE_ROWS].astype(float)
+    assert np.array_equal(sample_hard_pair_moments(n, D, 16.0, 1.0, rng_for(8))[1], expected)

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import shiftkrr
 from shiftkrr.estimators import RidgeCore, fit_krr, fit_reweighted_krr
-from shiftkrr.hard_instance import hard_pair_moments
+from shiftkrr.hard_instance import sample_hard_pair_moments
 from shiftkrr.seeding import rng_for
-from shiftkrr.shifts import Dataset, hard_pair_design
+from shiftkrr.shifts import Dataset
 from shiftkrr.spectrum import EigenKernel, EigenSequence
 
 
@@ -112,10 +112,8 @@ def test_dual_reads_features_once_and_never_the_kernel_matrix(monkeypatch):
 def test_constrained_fit_is_the_ridge_fit_at_its_multiplier(seed, radius):
     n, D, B = 400, 32, 8.0
     kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=D)
-    rng = rng_for(seed, 1)
-    x = hard_pair_design(n, D, B, rng)
-    ys = x[:, 0] + rng.normal(0.0, 0.5, size=n)
-    core = RidgeCore.from_moments(kernel, n, *hard_pair_moments(x, ys))
+    xtx, xte = sample_hard_pair_moments(n, D, B, 0.5, rng_for(seed, 1))
+    core = RidgeCore.from_moments(kernel, n, xtx, xtx[:, 0] + xte)
     erm = core.fit_constrained(radius)
     ridge = core.fit_ridge(erm.lam)
     assert erm.mode == ridge.mode == "primal"

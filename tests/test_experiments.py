@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftkrr import experiments
 from shiftkrr.experiments import (
@@ -294,3 +296,14 @@ def test_exact_risk_needs_orthonormal_eigenfunctions_under_the_target():
         run_risk_sweep(cfg)
     assert all(r.status == "ok" for r in run_risk_sweep(
         make_config(**GAUSSIAN_CFG, risk="exact", reps=1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.floats(0.0, 1.0),
+                          st.sampled_from([math.inf, -math.inf, math.nan])),
+                min_size=1, max_size=41))
+def test_sorted_median_is_numpy_median_bit_for_bit(values):
+    with np.errstate(invalid="ignore"):  # the mean of -inf and inf
+        expected = float(np.median(values))
+    got = experiments._median(values)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
