@@ -387,6 +387,8 @@ def figure2(
         raise ValueError("figure2 needs reps >= 1")
     if not all(float(v).is_integer() for v in (*n_list, reps)):
         raise ValueError("figure2 needs whole-number n_list entries and reps")
+    if not all(float(n) >= 1 for n in n_list):
+        raise ValueError("figure2 needs every n in n_list >= 1")
     cells = [(int(n), float(B), derive_seed(seed, ni, bi))
              for ni, n in enumerate(n_list) for bi, B in enumerate(B_grid)
              if B <= float(n) ** (2.0 / 3.0) + 1e-9]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error
 from .seeding import derive_seed, map_units, one_blas_thread, rng_for
-from .shifts import HYPERCUBE_BLOCK_ROWS, _check_hard_pair
+from .shifts import HYPERCUBE_BLOCK_ROWS, _hard_pair_blocks
 from .spectrum import EigenKernel, EigenSequence
 
 
@@ -89,6 +89,8 @@ class HardInstanceState:
         returns x^T x and x^T w without forming the n x D sample, so cov
         equals x^T x / n of the drawn design bit for bit.
         """
+        if n < 1:
+            raise ValueError("n must be >= 1")
         xtx, xtw = sample_hard_pair_moments(n, D, B, math.sqrt(sigma_sq), rng_for(seed, 17))
         return cls(D=D, empirical_cov=xtx / n, v=xtw / n)
 
@@ -96,14 +98,6 @@ class HardInstanceState:
 #: rows of each float64 sub-block in the x^T e sum: an eighth of a sign
 #: block, so the sub-block's float64 copy is 1 MiB at D = 512
 _XTE_ROWS = HYPERCUBE_BLOCK_ROWS // 8
-
-
-def _advanced(state: dict, words: int) -> np.random.Generator:
-    """A PCG64 generator in ``state`` moved on by ``words`` 64-bit draws."""
-    bitgen = np.random.PCG64(0)
-    bitgen.state = state
-    bitgen.advance(words)
-    return np.random.Generator(bitgen)
 
 
 def sample_hard_pair_moments(
@@ -114,72 +108,26 @@ def sample_hard_pair_moments(
     The sample is that of ``shifts.hard_pair_design(n, D, B, rng)``
     followed by ``rng.normal(0.0, sigma, size=n)`` (no noise draw when
     sigma = 0), and the generator is left in the state that draw leaves,
-    but no n x D array is formed: memory is O(HYPERCUBE_BLOCK_ROWS * D + D^2)
-    whatever n is.  Each block of ``HYPERCUBE_BLOCK_ROWS`` rows is one pass:
-    * its signs are the top bits of the half-words of ``random_raw``
-      (see ``shifts.hypercube_signs``), turned into +-1 float32 in the
-      words' own buffer by ``(u & 0x80000000) ^ 0xBF800000``;
-    * its masked rows get x_1 = 0, from a copy of the generator moved
-      past all n * D signs, as the mask is drawn after the design;
-    * its float32 Gram, exact since every entry is an integer below
-      2^24, is added to x^T x, so x^T x equals the float64 product bit
-      for bit;
-    * its noise, from a copy moved a further n words past the mask,
-      enters x^T e in float64 over sub-blocks of ``_XTE_ROWS`` rows.
-    A mask or noise value takes one 64-bit word and ``advance`` needs a
-    PCG64, so any other bit generator raises ``TypeError``.
+    but no n x D array is formed: the blocks of ``shifts._hard_pair_blocks``
+    are reduced one at a time, so memory is O(HYPERCUBE_BLOCK_ROWS * D + D^2)
+    whatever n is.  A block's float32 Gram, exact since every entry is an
+    integer below 2^24, is added to x^T x, so x^T x equals the float64
+    product bit for bit; its noise enters x^T e in float64 over sub-blocks
+    of ``_XTE_ROWS`` rows.  Unless B = 1 and sigma = 0 the bit generator
+    must be PCG64; any other raises ``TypeError``.
     """
-    _check_hard_pair(D, B)
-    if not 0 <= sigma < math.inf:  # also rejects NaN
-        raise ValueError("sigma must be finite and nonnegative")
-    bitgen = rng.bit_generator
-    if type(bitgen) is not np.random.PCG64:
-        raise TypeError(f"sample_hard_pair_moments needs a PCG64 generator, "
-                        f"not {type(bitgen).__name__}")
-    entry = bitgen.state
-    total = n * D
-    # a half-word buffered on entry is the first sign
-    carry = np.uint32(entry["uinteger"]) if total and entry["has_uint32"] else None
-    halves = total - (carry is not None)
-    words = (halves + 1) // 2
-    masked = B > 1
-    mask_rng = _advanced(entry, words) if masked else None
-    noise_rng = _advanced(entry, words + n * masked) if sigma > 0 else None
+    blocks = _hard_pair_blocks(n, D, B, sigma, rng)
     xtx = np.zeros((D, D))
     xte = np.zeros(D)
     sub = np.empty((min(n, _XTE_ROWS), D)) if sigma > 0 else None
-    uinteger = entry["uinteger"]
-    for i in range(0, n, HYPERCUBE_BLOCK_ROWS):
-        m = min(HYPERCUBE_BLOCK_ROWS, n - i)
-        size = m * D
-        # as little-endian bytes, each word reads as its low, then its high half
-        raw = bitgen.random_raw((size - (carry is not None) + 1) // 2).astype(
-            "<u8", copy=False).view("<u4")
-        if len(raw):
-            uinteger = int(raw[-1])
-        if carry is not None:
-            raw = np.concatenate(([carry], raw))
-        carry = raw[size] if len(raw) > size else None
-        np.bitwise_and(raw, 0x80000000, out=raw)
-        np.bitwise_xor(raw, 0xBF800000, out=raw)  # -1.0 as float32, +1.0 with the top bit
-        a = raw.view(np.float32)[:size].reshape(m, D)
-        if masked:
-            a[mask_rng.random(m) >= 1.0 / B, 0] = 0
+    for a, e in blocks:
         xtx += a.T @ a
-        if sigma > 0:
-            e = noise_rng.normal(0.0, sigma, size=m)
-            for j in range(0, m, _XTE_ROWS):
-                blk = sub[:min(_XTE_ROWS, m - j)]
+        if e is not None:
+            for j in range(0, len(a), _XTE_ROWS):
+                blk = sub[:min(_XTE_ROWS, len(a) - j)]
                 np.copyto(blk, a[j:j + len(blk)])
                 xte += e[j:j + len(blk)] @ blk
-        del raw, a  # free this block before the next one is drawn
-    # the caller's generator as the noise, else the mask, else the signs leave it,
-    # with the half-word buffer as integers() leaves it: the high half of its
-    # last word, still unused when an odd count of half-words was drawn
-    state = (noise_rng or mask_rng or rng).bit_generator.state
-    state["uinteger"] = uinteger
-    state["has_uint32"] = halves % 2 if words else int(total == 0 and entry["has_uint32"])
-    bitgen.state = state
+        del a  # free this block before the next one is drawn
     return xtx, xte
 
 
@@ -310,6 +258,8 @@ def hard_pair_cell(
     ``krr_lambda_rule(n, B)``.  The ambient dimension defaults to
     min(n, 512); coordinates beyond 512 carry under 0.2% of the trace.
     """
+    if n < 1:  # before n^(2/3), which is complex for n < 0
+        raise ValueError("n must be >= 1")
     if not 1.0 <= B <= n ** (2.0 / 3.0) + 1e-9:
         raise ValueError("B must lie in [1, n^(2/3)]")
     if not 0 <= sigma_sq < math.inf:  # also rejects NaN

@@ -16,6 +16,7 @@ evaluator plus declared B and/or V^2 constants.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -126,7 +127,7 @@ class ShiftPair:
         raise ValueError(f"unknown shift family {family!r}")
 
 
-#: rows per block of the hypercube draws; also bounds the entries of a
+#: rows per block of the hard-pair draws; also bounds the entries of a
 #: block Gram of a +-1/0 design, so float32 block products are exact
 HYPERCUBE_BLOCK_ROWS = 2048
 
@@ -138,61 +139,99 @@ def _check_hard_pair(D: int, B: float) -> None:
         raise ValueError("B must be finite and >= 1")
 
 
-#: bit generators whose 32-bit draws are the low, then the high half of
-#: one 64-bit word, with the unused half kept in the state's buffer
-_HALF_WORD_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
-                         np.random.SFC64)
+def _hard_pair_blocks(n: int, D: int, B: float, sigma: float, rng: np.random.Generator):
+    """Check the arguments, then iterate over n hard-pair source points in row blocks.
+
+    A block of ``HYPERCUBE_BLOCK_ROWS`` rows comes as its points, an (m, D)
+    float32 array of +-1/0, and their N(0, sigma^2) noise (None when sigma
+    = 0).  The blocks hold the values of, and running the iterator out
+    leaves the generator as, ``rng.integers(0, 2, size=(n, D)) * 2 - 1``
+    with x_1 = 0 where ``rng.random(n) >= 1 / B``, then
+    ``rng.normal(0.0, sigma, size=n)``; B = 1 draws no mask, sigma = 0 no noise.
+    At range 2, ``integers`` keeps the top bit of one 32-bit draw (Lemire's
+    multiply-shift, ACM TOMACS 2019, never rejects), and each 32-bit draw
+    is the low, then the high half of one 64-bit word, the unused half
+    buffered in the state.  So the signs are the top bits of the half-words
+    of ``random_raw``, made +-1 float32 in place by
+    ``(u & 0x80000000) ^ 0xBF800000``, starting with a half-word buffered
+    on entry.  The mask and noise follow all n * D signs in the stream, so
+    they come from copies moved past the signs (the noise also past the
+    mask) by PCG64's ``advance``.  Signs alone take PCG64, PCG64DXSM, Philox
+    or SFC64, a mask or noise needs PCG64, and any other generator raises
+    ``TypeError``; nothing is drawn before every argument, n >= 0
+    included, is checked.
+    """
+    _check_hard_pair(D, B)
+    if not n >= 0:
+        raise ValueError("n must be >= 0")
+    if not 0 <= sigma < math.inf:  # also rejects NaN
+        raise ValueError("sigma must be finite and nonnegative")
+    bitgen = rng.bit_generator
+    masked, noisy = B > 1, sigma > 0
+    allowed = ((np.random.PCG64,) if masked or noisy else
+               (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64))
+    if not isinstance(bitgen, allowed):
+        raise TypeError(f"this hard-pair draw needs {' or '.join(g.__name__ for g in allowed)}, "
+                        f"not {type(bitgen).__name__}")
+    entry = bitgen.state
+    buffered = bool(n * D and entry["has_uint32"])
+    halves = n * D - buffered
+    words = (halves + 1) // 2
+    mask_rng = np.random.Generator(copy.deepcopy(bitgen).advance(words)) if masked else None
+    noise_rng = (np.random.Generator(copy.deepcopy(bitgen).advance(words + n * masked))
+                 if noisy else None)
+
+    def blocks():
+        carry = np.uint32(entry["uinteger"]) if buffered else None
+        uinteger = entry["uinteger"]
+        for i in range(0, n, HYPERCUBE_BLOCK_ROWS):
+            m = min(HYPERCUBE_BLOCK_ROWS, n - i)
+            size = m * D
+            # as little-endian bytes, each word reads as its low, then its high half
+            raw = bitgen.random_raw((size - (carry is not None) + 1) // 2).astype(
+                "<u8", copy=False).view("<u4")
+            if len(raw):
+                uinteger = int(raw[-1])
+            if carry is not None:
+                raw = np.concatenate(([carry], raw))
+            carry = raw[size] if len(raw) > size else None
+            np.bitwise_and(raw, 0x80000000, out=raw)
+            np.bitwise_xor(raw, 0xBF800000, out=raw)  # -1.0 as float32, +1.0 with the top bit
+            a = raw.view(np.float32)[:size].reshape(m, D)
+            if masked:
+                a[mask_rng.random(m) >= 1.0 / B, 0] = 0
+            yield a, noise_rng.normal(0.0, sigma, size=m) if noisy else None
+            del raw, a  # the caller drops its reference too before the next block
+        # the caller's generator as the noise, else the mask, else the signs leave it,
+        # with the half-word buffer as integers() leaves it: the high half of its
+        # last word, still unused when an odd count of half-words was drawn
+        state = (noise_rng or mask_rng or rng).bit_generator.state
+        state["uinteger"] = uinteger
+        state["has_uint32"] = halves % 2 if words else int(n * D == 0 and entry["has_uint32"])
+        bitgen.state = state
+
+    return blocks()
 
 
 def hypercube_signs(n: int, D: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform points of {-1, +1}^D as int8.
-
-    Gives the values, and leaves the generator in the state, of
-    ``rng.integers(0, 2, size=(n, D))``, so later draws are unchanged too.
-    At range 2, ``integers`` takes Lemire's multiply-shift of one 32-bit
-    draw u by 2 (Lemire, ACM TOMACS 2019), which never rejects and keeps
-    the top bit of u; each 32-bit draw is the low, then the high half of
-    one 64-bit word of the bit generator.  So the signs are the top bits of
-    the half-words of ``random_raw``, read as int32 in row blocks of
-    ``HYPERCUBE_BLOCK_ROWS``.  A half-word buffered on entry and the last
-    one or two draws go through ``integers`` itself, which leaves the
-    generator's buffer as one ``integers`` call would.  The bit generator
-    must be PCG64, PCG64DXSM, Philox or SFC64; any other (MT19937 draws
-    32-bit words natively) raises ``TypeError``.
-    """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, _HALF_WORD_GENERATORS):
-        raise TypeError(f"hypercube_signs cannot read the raw words of {type(bitgen).__name__}")
-    x = np.empty((n, D), dtype=np.int8)
-    flat = x.reshape(-1)
-    start = 1 if flat.size and bitgen.state["has_uint32"] else 0
-    flat[:start] = rng.integers(0, 2, size=start, dtype=np.int32)
-    left = flat.size - start
-    stop = flat.size - min(left, 2 - left % 2)  # an even count of raw half-words
-    bits = flat.view(np.bool_)
-    step = HYPERCUBE_BLOCK_ROWS * max(D, 1)
-    for i in range(start, stop, step):
-        j = min(i + step, stop)
-        # as little-endian bytes, each word reads as its low, then its high half
-        np.less(bitgen.random_raw((j - i) // 2).astype("<u8", copy=False).view("<i4"), 0,
-                out=bits[i:j])
-    flat[stop:] = rng.integers(0, 2, size=flat.size - stop, dtype=np.int32)
-    x *= 2
-    x -= 1
-    return x
+    """n uniform points of {-1, +1}^D as int8, drawn as ``rng.integers(0, 2, size=(n, D))``."""
+    return hard_pair_design(n, D, 1.0, rng)
 
 
 def hard_pair_design(n: int, D: int, B: float, rng: np.random.Generator) -> np.ndarray:
     """n source points of the hard hypercube pair as an int8 array.
 
-    ``hypercube_hard_pair(D, B).sample_source`` is this array as float;
-    the first-coordinate mask is drawn after the signs, and not at all
-    when B = 1.
+    ``hypercube_hard_pair(D, B).sample_source`` is this array as float.
+    It is filled from ``_hard_pair_blocks`` (which draws the mask after
+    the signs, and needs PCG64 for it) one block at a time.
     """
-    _check_hard_pair(D, B)
-    x = hypercube_signs(n, D, rng)
-    if B > 1:
-        x[rng.random(n) >= 1.0 / B, 0] = 0
+    blocks = _hard_pair_blocks(n, D, B, 0.0, rng)
+    x = np.empty((n, D), dtype=np.int8)
+    i = 0
+    for a, _ in blocks:
+        x[i:i + len(a)] = a
+        i += len(a)
+        del a  # free this block before the next one is drawn
     return x
 
 

@@ -90,6 +90,10 @@ MALFORMED = [
     ("erm-failure", {"n": 60, "B": 2.0, "reps": 1.5}, {}),
     ("simulate-risk", {**SWEEP, "n_list": [100.7, 200, 400]}, {}),
     ("simulate-risk", {**SWEEP, "seed": 7.5}, {}),
+    # sample sizes below 1
+    ("figure2", {"n_list": [0]}, {}),
+    ("figure2", {"n_list": [-8]}, {}),
+    ("erm-failure", {"n": -8, "B": 1.0}, {}),
 ]
 
 

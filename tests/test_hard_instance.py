@@ -12,6 +12,7 @@ from shiftkrr.hard_instance import (
     eta_sums,
     g_dual_tail,
     g_primal,
+    hard_pair_cell,
     krr_lambda_rule,
     simulate_failure,
 )
@@ -236,6 +237,16 @@ def test_simulate_failure_validation():
         simulate_failure(100, 100.0, reps=1)
     with pytest.raises(ValueError, match="D must not exceed"):
         simulate_failure(100, 2.0, D=200, reps=1)
+
+
+@pytest.mark.parametrize("n", [0, -8])
+def test_sample_size_below_one_is_refused_by_name(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        hard_pair_cell(n, 1.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        HardInstanceState.from_sample(n, 4.0, 1.0, 5, 1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        HardInstanceState.from_sample(n, 4.0, 0.0, 5, 1)
 
 
 def test_no_shift_hilbert_norm_near_target_norm():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shiftkrr.hard_instance import sample_hard_pair_moments
 from shiftkrr.seeding import rng_for
-from shiftkrr.shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design
+from shiftkrr.shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design, hypercube_signs
 
 BLOCK = HYPERCUBE_BLOCK_ROWS
 
@@ -68,3 +68,31 @@ def test_memory_does_not_grow_with_n():
 def test_other_bit_generators_are_refused(bitgen):
     with pytest.raises(TypeError, match=bitgen.__name__):
         sample_hard_pair_moments(4, 3, 2.0, 1.0, np.random.Generator(bitgen(0)))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: sample_hard_pair_moments(-2, 5, 4.0, 0.0, rng),
+    lambda rng: sample_hard_pair_moments(-2, 5, 1.0, 1.0, rng),
+    lambda rng: hard_pair_design(-2, 5, 4.0, rng),
+    lambda rng: hypercube_signs(-2, 5, rng),
+], ids=["moments", "noisy-moments", "design", "signs"])
+def test_negative_n_is_refused_before_the_generator_moves(draw):
+    rng = np.random.default_rng(9)
+    rng.integers(0, 2, size=1)  # leave a half-word buffered
+    entry = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        draw(rng)
+    np.testing.assert_equal(rng.bit_generator.state, entry)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+def test_a_mask_or_noise_needs_pcg64_where_the_signs_do_not(bitgen):
+    # the signs alone run on any half-word generator; a mask or a noise draw is refused
+    assert hard_pair_design(3, 2, 1.0, np.random.Generator(bitgen(0))).shape == (3, 2)
+    for B, sigma in ((2.0, 0.0), (1.0, 0.5)):
+        rng = np.random.Generator(bitgen(0))
+        with pytest.raises(TypeError, match=f"needs PCG64, not {bitgen.__name__}"):
+            sample_hard_pair_moments(3, 2, B, sigma, rng)
+        np.testing.assert_equal(rng.bit_generator.state, bitgen(0).state)
+    with pytest.raises(TypeError, match=bitgen.__name__):
+        hard_pair_design(3, 2, 2.0, np.random.Generator(bitgen(0)))
