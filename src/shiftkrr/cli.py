@@ -33,15 +33,11 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, experiments, hard_instance, spectrum
-from .estimators import FactorizationError, ProjectionError, fit_krr, fit_reweighted_krr
+from .errors import ConfigError, NumericalFailure
+from .estimators import fit_krr, fit_reweighted_krr
 from .seeding import one_blas_thread
 from .shifts import Dataset
-from .spectrum import (EigenKernel, EigenSequence, NumericalError, TruncationExceeded,
-                       default_grid)
-
-
-class ConfigError(ValueError):
-    pass
+from .spectrum import EigenKernel, EigenSequence, default_grid
 
 
 def _float(cfg: dict, key: str, default: float) -> float:
@@ -269,13 +265,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             experiments.write_csv(args.out, *result)
     # before the config clause: NumericalError and LinAlgError are ValueErrors too
-    except (NumericalError, FactorizationError, ProjectionError, TruncationExceeded,
-            FloatingPointError, np.linalg.LinAlgError) as err:
+    except (NumericalFailure, FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    # an input too large to allocate, such as a grid of 2^45 points, is a config error
-    except (ConfigError, ValueError, TypeError, KeyError, OSError, OverflowError,
-            MemoryError) as err:
+    # ConfigError is a ValueError; an input too large to allocate, such as a grid
+    # of 2^45 points, is a config error
+    except (ValueError, TypeError, KeyError, OSError, OverflowError, MemoryError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     return 0

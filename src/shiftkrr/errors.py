@@ -1,0 +1,31 @@
+"""The error types the CLI maps to exit codes.
+
+``ConfigError`` (a ``ValueError``, like every refusal of input) exits 2.
+Every ``NumericalFailure`` exits 3: a well-formed computation that has no
+answer or could not be carried out accurately.  The numerical types keep
+their builtin bases, so ``NumericalError`` is still a ``ValueError``.
+"""
+
+
+class ConfigError(ValueError):
+    """A config key or flag the CLI cannot use."""
+
+
+class NumericalFailure(RuntimeError):
+    """A well-formed input whose computation failed."""
+
+
+class NumericalError(ValueError, NumericalFailure):
+    """A well-formed computation has no answer, such as a root search with no root on its grid."""
+
+
+class TruncationExceeded(NumericalFailure):
+    """An index-valued functional fell beyond the truncation point j_max."""
+
+
+class FactorizationError(NumericalFailure):
+    """The regularized kernel system could not be solved accurately."""
+
+
+class ProjectionError(NumericalFailure):
+    """The ball-constrained quadratic solve failed to meet the norm constraint."""

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .errors import FactorizationError, ProjectionError
 from .seeding import one_blas_thread, rng_for
 from .shifts import Dataset, ShiftPair
 from .spectrum import EigenKernel
@@ -43,14 +44,6 @@ _BALL_RTOL = 1e-13
 
 #: Newton steps allowed to ``ball_quadratic_min``
 _BALL_MAX_ITER = 100
-
-
-class FactorizationError(RuntimeError):
-    """The regularized kernel system could not be solved accurately."""
-
-
-class ProjectionError(RuntimeError):
-    """The ball-constrained quadratic solve failed to meet the norm constraint."""
 
 
 @dataclass(frozen=True)

@@ -26,17 +26,16 @@ from .bounds import (
     lambda_rule_poly,
     reweighted_rate,
 )
+from .errors import FactorizationError, ProjectionError
 from .estimators import (
-    FactorizationError,
     FittedModel,
-    ProjectionError,
     fit_constrained_erm,
     fit_krr,
     fit_reweighted_krr,
     hilbert_norm_sq,
     l2q_error,
 )
-from .hard_instance import hard_pair_cell
+from .hard_instance import hard_pair_cell, within_hard_range
 from .seeding import derive_seed, map_units
 from .shifts import Dataset, ShiftPair, default_truncation, sample_dataset, truncate_lr
 from .spectrum import EigenKernel, EigenSequence, default_grid
@@ -293,22 +292,20 @@ class RateSlope:
     stderr: float
 
 
-def fit_rate_slope(
-    rows: Sequence[RiskRow],
-    group_by: Sequence[str] = ("estimator", "b_or_v2"),
-) -> dict[tuple, RateSlope]:
-    """OLS slope of log(median risk) against log(n) within each group.
+def fit_rate_slope(rows: Sequence[RiskRow]) -> dict[tuple, RateSlope]:
+    """OLS slope of log(median risk) against log(n) per (estimator, b_or_v2) group.
 
-    Requires at least 3 distinct sample sizes per group; raises
-    ValueError("insufficient n grid") otherwise, and ValueError when a
-    median risk is not positive, since its logarithm is undefined.
+    Only ``ok`` rows count.  Requires at least 3 distinct sample sizes per
+    group; raises ValueError("insufficient n grid") otherwise or when no
+    ``ok`` row is left, and ValueError when a median risk is not positive,
+    since its logarithm is undefined.
     """
     groups: dict[tuple, dict[int, list[float]]] = {}
     for r in rows:
-        if r.status != "ok":
-            continue
-        key = tuple(getattr(r, g) for g in group_by)
-        groups.setdefault(key, {}).setdefault(r.n, []).append(r.risk)
+        if r.status == "ok":
+            groups.setdefault((r.estimator, r.b_or_v2), {}).setdefault(r.n, []).append(r.risk)
+    if not groups:
+        raise ValueError("insufficient n grid: no row has status ok")
     out = {}
     for key, by_n in groups.items():
         if len(by_n) < 3:
@@ -348,6 +345,8 @@ def figure1(
     n = 8000, B in {1, 5, 10, 15} on a 400-point log-spaced lambda grid.
     Exactly one row per B is flagged as the bound minimizer.
     """
+    if not len(B_values):
+        raise ValueError("figure1 needs a nonempty B_values")
     if eigs is None:
         eigs = EigenSequence.poly_decay(1.0, 1.0)
     grid = default_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
@@ -389,9 +388,13 @@ def figure2(
         raise ValueError("figure2 needs whole-number n_list entries and reps")
     if not all(float(n) >= 1 for n in n_list):
         raise ValueError("figure2 needs every n in n_list >= 1")
+    if not all(math.isfinite(B) for B in B_grid):
+        raise ValueError("figure2 needs finite B_grid entries")
     cells = [(int(n), float(B), derive_seed(seed, ni, bi))
              for ni, n in enumerate(n_list) for bi, B in enumerate(B_grid)
-             if B <= float(n) ** (2.0 / 3.0) + 1e-9]
+             if within_hard_range(int(n), B)]
+    if not cells:
+        raise ValueError("figure2 needs an (n, B) cell with B <= n^(2/3)")
     cores = [hard_pair_cell(n, B, sigma_sq=sigma_sq, D=D, seed=s) for n, B, s in cells]
 
     def krr_hnorm_sq(k: int, rep: int) -> float:

@@ -238,6 +238,11 @@ def krr_lambda_rule(n: int, B: float) -> float:
     return 4.0 ** (2.0 / 3.0) * n ** (-2.0 / 3.0) * B ** (-1.0 / 3.0)
 
 
+def within_hard_range(n: int, B: float) -> bool:
+    """Whether the hard pair at n >= 1 samples admits ratio bound B <= n^(2/3), up to 1e-9."""
+    return B <= n ** (2.0 / 3.0) + 1e-9
+
+
 def hard_pair_cell(
     n: int,
     B: float,
@@ -260,7 +265,7 @@ def hard_pair_cell(
     """
     if n < 1:  # before n^(2/3), which is complex for n < 0
         raise ValueError("n must be >= 1")
-    if not 1.0 <= B <= n ** (2.0 / 3.0) + 1e-9:
+    if not (1.0 <= B and within_hard_range(n, B)):
         raise ValueError("B must lie in [1, n^(2/3)]")
     if not 0 <= sigma_sq < math.inf:  # also rejects NaN
         raise ValueError("simulate_failure needs a finite sigma_sq >= 0")

@@ -213,11 +213,6 @@ def _hard_pair_blocks(n: int, D: int, B: float, sigma: float, rng: np.random.Gen
     return blocks()
 
 
-def hypercube_signs(n: int, D: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform points of {-1, +1}^D as int8, drawn as ``rng.integers(0, 2, size=(n, D))``."""
-    return hard_pair_design(n, D, 1.0, rng)
-
-
 def hard_pair_design(n: int, D: int, B: float, rng: np.random.Generator) -> np.ndarray:
     """n source points of the hard hypercube pair as an int8 array.
 
@@ -250,7 +245,7 @@ def hypercube_hard_pair(D: int, B: float) -> ShiftPair:
         return hard_pair_design(n, D, B, rng).astype(float)
 
     def target(n: int, rng: np.random.Generator) -> np.ndarray:
-        return hypercube_signs(n, D, rng).astype(float)
+        return hard_pair_design(n, D, 1.0, rng).astype(float)
 
     def lr(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -4,7 +4,7 @@ A kernel is declared by a nonincreasing eigenvalue sequence (finite rank,
 polynomial decay, or an explicit list) together with an eigenfunction
 family that is orthonormal in L2 of the target distribution.  All spectral
 functionals used by the bound calculators live here: the effective
-dimension d(delta), the eigenvalue tail / regularity check, the complexity
+dimension d(delta), the eigenvalue tail sums, the complexity
 function Psi(delta), and the critical radius solving M(delta) <= delta^2/2.
 
 Every sequence is a summed head plus an analytic tail.  The head of a list
@@ -29,6 +29,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .errors import NumericalError, TruncationExceeded
+
 DEFAULT_J_MAX = 10**6
 
 #: number of poly heads (alpha, c, j_max) kept alive per process.
@@ -38,14 +40,6 @@ HEAD_CACHE_SIZE = 4
 DEFAULT_GRID_MIN = 1e-4
 DEFAULT_GRID_MAX = 10.0
 DEFAULT_GRID_POINTS = 400
-
-
-class TruncationExceeded(RuntimeError):
-    """An index-valued functional fell beyond the truncation point j_max."""
-
-
-class NumericalError(ValueError, RuntimeError):
-    """A well-formed computation has no answer, such as a root search with no root on its grid."""
 
 
 def default_grid(
@@ -272,9 +266,6 @@ def _poly_head(alpha: float, c: float, j_max: int) -> _Head:
 # ---------------------------------------------------------------------------
 
 
-eigenvalue = EigenSequence.eigenvalue
-
-
 def effective_dim(eigs: EigenSequence, delta: float) -> int:
     """Smallest index whose eigenvalue drops to delta^2 or below.
 
@@ -294,23 +285,6 @@ def effective_dim(eigs: EigenSequence, delta: float) -> int:
     if eigs.rank is None and above >= eigs.length:
         raise TruncationExceeded("index exceeds truncation")
     return above + 1
-
-
-def regularity_margin(
-    eigs: EigenSequence, delta: float, c: float = 2.0
-) -> tuple[float, float, bool]:
-    """Check the eigenvalue-tail regularity condition at one delta.
-
-    Returns ``(tail_sum, budget, is_regular_at_delta)`` where
-    ``tail_sum = sum_{j > d(delta)} mu_j`` and ``budget = c d(delta) delta^2``.
-    The sequence is regular at delta when the tail is within budget.
-    """
-    if c <= 0:
-        raise ValueError("regularity constant must be positive")
-    d = effective_dim(eigs, delta)
-    tail = eigs.tail_sum(d)
-    budget = c * d * delta * delta
-    return tail, budget, bool(tail <= budget)
 
 
 def psi_complexity(eigs: EigenSequence, delta: float, hnorm_sq: float = 1.0) -> float:

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from shiftkrr import cli, hard_instance
+from shiftkrr import cli, errors, estimators, hard_instance, spectrum
 from shiftkrr.cli import main
 from shiftkrr.hard_instance import simulate_failure
 
@@ -94,6 +94,15 @@ MALFORMED = [
     ("figure2", {"n_list": [0]}, {}),
     ("figure2", {"n_list": [-8]}, {}),
     ("erm-failure", {"n": -8, "B": 1.0}, {}),
+    # grids and tables that leave nothing to compute
+    ("figure2", {"n_list": []}, {}),
+    ("figure2", {"B_grid": []}, {}),
+    ("figure2", {"n_list": [100], "B_grid": [2.0, float("nan")]}, {}),
+    ("figure2", {"n_list": [100], "B_grid": [2.0, float("inf")]}, {}),
+    ("figure2", {"n_list": [100], "B_grid": [1000.0]}, {}),
+    ("figure1", {"B_values": []}, {}),
+    ("rates", {"table": "t.csv"}, {"t.csv": TABLE}),
+    ("rates", {"table": "t.csv"}, {"t.csv": TABLE + "0,100,2,krr,0.1,nan,nan,5,failed\n"}),
 ]
 
 
@@ -117,6 +126,21 @@ def test_malformed_input_exits_2_or_3(tmp_path, monkeypatch, capsys, cmd, cfg, f
     assert run(tmp_path, monkeypatch, [cmd], cfg, files) in (2, 3)
     assert capsys.readouterr().err.startswith(("config error:", "numerical failure:"))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module,name,bases", [
+    (spectrum, "NumericalError", (ValueError, RuntimeError)),
+    (spectrum, "TruncationExceeded", (RuntimeError,)),
+    (estimators, "FactorizationError", (RuntimeError,)),
+    (estimators, "ProjectionError", (RuntimeError,)),
+    (cli, "ConfigError", (ValueError,)),
+])
+def test_each_error_keeps_its_old_path_and_bases(module, name, bases):
+    err = getattr(module, name)
+    assert err is getattr(errors, name)
+    assert all(issubclass(err, base) for base in bases)
+    # the CLI maps every numerical failure to exit 3 through this one base
+    assert issubclass(err, errors.NumericalFailure) == (name != "ConfigError")
 
 
 @pytest.mark.parametrize("cmd,flag", [(cmd, flag) for cmd in SUBCOMMANDS

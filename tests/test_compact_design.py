@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from shiftkrr.hard_instance import _XTE_ROWS, HardInstanceState, sample_hard_pair_moments
 from shiftkrr.seeding import rng_for
-from shiftkrr.shifts import (
-    HYPERCUBE_BLOCK_ROWS,
-    hard_pair_design,
-    hypercube_hard_pair,
-    hypercube_signs,
-)
+from shiftkrr.shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design, hypercube_hard_pair
 
 BLOCK = HYPERCUBE_BLOCK_ROWS
 
@@ -94,7 +89,7 @@ def test_signs_are_the_stream_of_integers(bitgen, n, D, before, seed):
     # odd and even n*D, n*D = 1, and a buffered half-word on entry (odd `before`)
     new, old = np.random.Generator(bitgen(seed)), np.random.Generator(bitgen(seed))
     assert np.array_equal(new.integers(0, 2, size=before), old.integers(0, 2, size=before))
-    x = hypercube_signs(n, D, new)
+    x = hard_pair_design(n, D, 1.0, new)
     assert x.dtype == np.int8
     assert np.array_equal(x, old.integers(0, 2, size=(n, D)) * 2 - 1)
     np.testing.assert_equal(new.bit_generator.state, old.bit_generator.state)
@@ -104,7 +99,7 @@ def test_signs_are_the_stream_of_integers(bitgen, n, D, before, seed):
 
 def test_signs_refuse_a_generator_with_32_bit_words():
     with pytest.raises(TypeError, match="MT19937"):
-        hypercube_signs(4, 3, np.random.Generator(np.random.MT19937(0)))
+        hard_pair_design(4, 3, 1.0, np.random.Generator(np.random.MT19937(0)))
 
 
 def test_design_holds_itself_and_one_block_of_raw_words():

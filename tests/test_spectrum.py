@@ -13,20 +13,18 @@ from shiftkrr.spectrum import (
     critical_radius,
     default_grid,
     effective_dim,
-    eigenvalue,
     hermite_features,
     m_function,
     psi_complexity,
-    regularity_margin,
 )
 
 POLY1 = EigenSequence.poly_decay(1.0, 1.0)
 
 
 def test_eigenvalue_rules():
-    assert eigenvalue(EigenSequence.poly_decay(1.0, 1.0), 3) == pytest.approx(1 / 9, abs=0)
-    assert eigenvalue(EigenSequence.finite_rank([1.0, 0.5]), 5) == 0.0
-    assert eigenvalue(EigenSequence.explicit([1.0, 0.3, 0.1]), 2) == 0.3
+    assert EigenSequence.poly_decay(1.0, 1.0).eigenvalue(3) == pytest.approx(1 / 9, abs=0)
+    assert EigenSequence.finite_rank([1.0, 0.5]).eigenvalue(5) == 0.0
+    assert EigenSequence.explicit([1.0, 0.3, 0.1]).eigenvalue(2) == 0.3
 
 
 def test_eigenvalue_validation():
@@ -37,7 +35,7 @@ def test_eigenvalue_validation():
     with pytest.raises(ValueError):
         EigenSequence.finite_rank([1.0, -0.1])
     with pytest.raises(ValueError):
-        eigenvalue(POLY1, 0)
+        POLY1.eigenvalue(0)
 
 
 def test_effective_dim_examples():
@@ -59,24 +57,9 @@ def test_effective_dim_truncation_error():
         effective_dim(small, 1e-9)
 
 
-def test_regularity_margin_zero_tail():
-    tail, budget, ok = regularity_margin(EigenSequence.finite_rank([1.0, 0.5]), 0.1, 1.0)
-    assert tail == 0.0 and ok
-
-
-def test_regularity_margin_poly_example():
-    tail, budget, ok = regularity_margin(POLY1, 0.1, 2.0)
+def test_poly_tail_sum_is_zeta_minus_the_head():
     oracle = zeta(2) - np.sum(1.0 / np.arange(1, 11, dtype=float) ** 2)
-    assert tail == pytest.approx(oracle, abs=1e-9)
-    assert budget == pytest.approx(0.2)
-    assert ok
-
-
-def test_regularity_margin_explicit_example():
-    tail, budget, ok = regularity_margin(EigenSequence.explicit([1.0, 1e-9]), 0.9, 1e-12)
-    assert tail == 0.0
-    assert budget == pytest.approx(1.62e-12)
-    assert ok
+    assert POLY1.tail_sum(10) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_psi_examples():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shiftkrr.hard_instance import sample_hard_pair_moments
 from shiftkrr.seeding import rng_for
-from shiftkrr.shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design, hypercube_signs
+from shiftkrr.shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design
 
 BLOCK = HYPERCUBE_BLOCK_ROWS
 
@@ -74,7 +74,7 @@ def test_other_bit_generators_are_refused(bitgen):
     lambda rng: sample_hard_pair_moments(-2, 5, 4.0, 0.0, rng),
     lambda rng: sample_hard_pair_moments(-2, 5, 1.0, 1.0, rng),
     lambda rng: hard_pair_design(-2, 5, 4.0, rng),
-    lambda rng: hypercube_signs(-2, 5, rng),
+    lambda rng: hard_pair_design(-2, 5, 1.0, rng),
 ], ids=["moments", "noisy-moments", "design", "signs"])
 def test_negative_n_is_refused_before_the_generator_moves(draw):
     rng = np.random.default_rng(9)
