@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, experiments, hard_instance, spectrum
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, NumericalFailure, whole_number
 from .estimators import fit_krr, fit_reweighted_krr
 from .seeding import one_blas_thread
 from .shifts import Dataset
@@ -50,9 +50,7 @@ def _float(cfg: dict, key: str, default: float) -> float:
 def _int(cfg: dict, key: str, default: Optional[int]) -> Optional[int]:
     """The whole number under ``key``: 8000 or 8000.0, never 8000.9 (None stays None)."""
     value = cfg.get(key, default)
-    if value is not None and not float(value).is_integer():  # also rejects NaN and inf
-        raise ConfigError(f"'{key}' must be a whole number")
-    return None if value is None else int(value)
+    return None if value is None else whole_number(value, key)
 
 
 def _load_config(path: Optional[str]) -> dict:

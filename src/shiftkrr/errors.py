@@ -1,10 +1,17 @@
-"""The error types the CLI maps to exit codes.
+"""The error types the CLI maps to exit codes, and the integer-key check.
 
 ``ConfigError`` (a ``ValueError``, like every refusal of input) exits 2.
 Every ``NumericalFailure`` exits 3: a well-formed computation that has no
 answer or could not be carried out accurately.  The numerical types keep
 their builtin bases, so ``NumericalError`` is still a ``ValueError``.
 """
+
+
+def whole_number(value, key: str) -> int:
+    """``value`` as an int: 8000 or 8000.0, never 8000.9, NaN or inf (a ValueError naming ``key``)."""
+    if not float(value).is_integer():
+        raise ValueError(f"'{key}' must be a whole number")
+    return int(value)
 
 
 class ConfigError(ValueError):

@@ -26,7 +26,7 @@ from .bounds import (
     lambda_rule_poly,
     reweighted_rate,
 )
-from .errors import FactorizationError, ProjectionError
+from .errors import FactorizationError, ProjectionError, whole_number
 from .estimators import (
     FittedModel,
     fit_constrained_erm,
@@ -153,7 +153,7 @@ def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.nd
     mu = kernel.mu
     theta = np.zeros(kernel.rank)
     if kind == "phi":
-        j = int(spec.get("j", 1))
+        j = whole_number(spec.get("j", 1), "fstar.j")
         if not 1 <= j <= kernel.rank or mu[j - 1] == 0:
             raise ValueError("fstar index outside the kernel rank")
         theta[j - 1] = math.sqrt(hnorm_sq * mu[j - 1])
@@ -369,7 +369,6 @@ def figure2(
     seed: int = 0,
     sigma_sq: float = 1.0,
     D: Optional[int] = None,
-    threads: Optional[int] = None,
 ) -> list[list]:
     """Median KRR Hilbert norm on the hard pair versus the ratio bound B.
 
@@ -379,8 +378,8 @@ def figure2(
     replicate draws the data of ``hard_instance.hard_pair_cell`` and fits
     only the KRR it reports, one linear solve with no ERM and no
     eigendecomposition.  The replications of all cells form one list of
-    units for ``map_units`` on ``threads`` workers (all cores by default);
-    the rows do not depend on the worker count.
+    units for ``map_units`` on every core this process may run on; the rows
+    do not depend on the worker count.
     """
     if not reps >= 1:  # also rejects NaN
         raise ValueError("figure2 needs reps >= 1")
@@ -402,7 +401,7 @@ def figure2(
         return hilbert_norm_sq(core_of(rep).fit_ridge(lam))
 
     norms = map_units(lambda unit: krr_hnorm_sq(*unit),
-                      [(k, rep) for k in range(len(cells)) for rep in range(reps)], threads)
+                      [(k, rep) for k in range(len(cells)) for rep in range(reps)])
     rows = []
     for k, (n, B, _) in enumerate(cells):
         med = _median(norms[k * reps:(k + 1) * reps])

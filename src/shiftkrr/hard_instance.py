@@ -324,7 +324,6 @@ def simulate_failure(
     D: Optional[int] = None,
     reps: int = 20,
     seed: int = 0,
-    threads: Optional[int] = None,
 ) -> list[FailureRecord]:
     """Fit constrained ERM and KRR on sampled hard instances.
 
@@ -336,10 +335,10 @@ def simulate_failure(
     needs and KRR reuses), and records exact coordinate risks and the KRR
     Hilbert norm.  The ambient dimension defaults to min(n, 512);
     coordinates beyond 512 carry under 0.2% of the trace.  Replications
-    run through ``map_units`` on ``threads`` workers (all cores by
-    default); the records do not depend on the worker count.
+    run through ``map_units`` on every core this process may run on; the
+    records do not depend on the worker count.
     """
     if not reps >= 1:  # also rejects NaN
         raise ValueError("simulate_failure needs reps >= 1")
     replicate = failure_cell(n, B, sigma_sq=sigma_sq, D=D, seed=seed)
-    return map_units(replicate, range(reps), threads)
+    return map_units(replicate, range(reps))

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import whole_number
 from .seeding import rng_for
 
 
@@ -121,7 +122,7 @@ class ShiftPair:
     def from_json(cls, obj) -> "ShiftPair":
         family = obj["family"]
         if family == "hypercube":
-            return hypercube_hard_pair(int(obj["D"]), float(obj.get("B", 1.0)))
+            return hypercube_hard_pair(whole_number(obj["D"], "D"), float(obj.get("B", 1.0)))
         if family == "gaussian_scale":
             return gaussian_scale_pair(float(obj["tau_sq"]))
         raise ValueError(f"unknown shift family {family!r}")

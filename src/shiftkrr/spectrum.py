@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, TruncationExceeded
+from .errors import NumericalError, TruncationExceeded, whole_number
 
 DEFAULT_J_MAX = 10**6
 
@@ -79,7 +79,7 @@ class EigenSequence:
         if kind not in ("finite", "poly", "explicit"):
             raise ValueError(f"unknown eigenvalue sequence kind {kind!r}")
         self.kind = kind
-        self.j_max = int(j_max)
+        self.j_max = whole_number(j_max, "j_max")
         if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
         if kind == "poly":
@@ -195,10 +195,6 @@ class EigenSequence:
         if self._mu_head is None:
             self._mu_head = _Head.of(self.values)
         return self._mu_head
-
-    def trace(self) -> float:
-        """Sum of all eigenvalues."""
-        return self.tail_sum(0)
 
     def tail_sum(self, j0: int) -> float:
         """sum_{j > j0} mu_j: the head's suffix sum plus the analytic tail."""
@@ -417,8 +413,9 @@ class EigenKernel:
         eigenvalue sequence nor the ambient dimension caps it: a polynomial
         sequence with Hermite eigenfunctions raises ValueError without one.
     kappa_sq : float, optional
-        Declared bound on sup_x K(x, x).  Defaults to the eigenvalue trace,
-        which is exact for sup-norm-1 families such as the hypercube one.
+        Declared bound on sup_x K(x, x).  Defaults to the sum of the kept
+        eigenvalues mu_1..mu_rank, which is exact for sup-norm-1 families
+        such as the hypercube one.
     """
 
     def __init__(
@@ -435,34 +432,21 @@ class EigenKernel:
         self._features = _FEATURE_FAMILIES[features]
         if rank is None and eigs.rank is None and self.family != "hypercube":
             raise ValueError(f"{self.family} features on a poly sequence need an explicit rank")
-        self.rank = int(min(eigs.length, rank)) if rank is not None else eigs.length
+        self.rank = eigs.length if rank is None else min(eigs.length, whole_number(rank, "rank"))
         if self.rank < 1:
             raise ValueError("kernel rank must be >= 1")
         self.mu = eigs.leading(self.rank)
-        # a poly trace is positive but reads the shared head, which costs
-        # 24 * j_max bytes to build; it waits until kappa_sq is first read, so
-        # processes that only fit (erm-failure, figure2) build no head at all
-        if kappa_sq is not None:
-            self._kappa_sq = float(kappa_sq)
-        else:
-            self._kappa_sq = None if eigs.rank is None else eigs.trace()
-        if self._kappa_sq is not None and not self._kappa_sq > 0:
+        self.kappa_sq = float(np.sum(self.mu) if kappa_sq is None else kappa_sq)
+        if not self.kappa_sq > 0:  # also rejects NaN
             raise ValueError("kappa_sq must be positive")
-
-    @property
-    def kappa_sq(self) -> float:
-        if self._kappa_sq is None:
-            self._kappa_sq = self.eigs.trace()
-        return self._kappa_sq
 
     def feature_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._features(X, self.rank)
 
-    def gram(self, X: np.ndarray, Z: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel matrix K[i, l] = K(X_i, Z_l) (Z defaults to X)."""
-        FX = self.feature_matrix(X)
-        FZ = FX if Z is None else self.feature_matrix(Z)
-        return (FX * self.mu) @ FZ.T
+    def gram(self, X: np.ndarray) -> np.ndarray:
+        """Kernel matrix K[i, l] = K(X_i, X_l)."""
+        F = self.feature_matrix(X)
+        return (F * self.mu) @ F.T
 
     def to_json(self) -> dict:
         return {

@@ -103,6 +103,13 @@ MALFORMED = [
     ("figure1", {"B_values": []}, {}),
     ("rates", {"table": "t.csv"}, {"t.csv": TABLE}),
     ("rates", {"table": "t.csv"}, {"t.csv": TABLE + "0,100,2,krr,0.1,nan,nan,5,failed\n"}),
+    # integer keys below the top level refuse fractional numbers too
+    ("simulate-risk", {**SWEEP, "pair": {"family": "hypercube", "D": 8.7}}, {}),
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "rank": 4.5}}, {}),
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"],
+                                           "eigs": {**POLY, "j_max": 100.5}}}, {}),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "phi", "j": 1.5}}, {}),
+    ("lambda-star", {"eigs": {**POLY, "j_max": 1000.5}}, {}),
 ]
 
 

@@ -54,13 +54,21 @@ def test_map_units_runs_serially_without_an_openblas(monkeypatch):
         (u, caller) for u in range(4)]
 
 
-def test_simulate_failure_is_independent_of_threads():
-    runs = [simulate_failure(600, 8.0, D=64, reps=5, seed=3, threads=t) for t in (1, 2, 3)]
+def on_cores(monkeypatch, count, fn):
+    """``fn()`` in a process that seems to run on ``count`` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return fn()
+
+
+def test_simulate_failure_is_independent_of_threads(monkeypatch):
+    runs = [on_cores(monkeypatch, t, lambda: simulate_failure(600, 8.0, D=64, reps=5, seed=3))
+            for t in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_figure2_is_independent_of_threads():
-    runs = [figure2(n_list=[300, 600], B_grid=[2.0, 8.0], reps=3, seed=4, D=32, threads=t)
+def test_figure2_is_independent_of_threads(monkeypatch):
+    runs = [on_cores(monkeypatch, t, lambda: figure2(n_list=[300, 600], B_grid=[2.0, 8.0],
+                                                     reps=3, seed=4, D=32))
             for t in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
 

@@ -36,7 +36,7 @@ def test_list_sums_match_brute_force(vals, delta, hnorm_sq, s, j0):
     def close(got, want):
         return abs(got - want) <= 1e-13 * abs(want)
 
-    assert close(eigs.trace(), math.fsum(vals))
+    assert close(eigs.tail_sum(0), math.fsum(vals))
     assert close(eigs.tail_sum(j0), math.fsum(vals[j0:]))
     assert close(eigs.resolvent_sum(s), math.fsum(v / (v + s) for v in vals))
     assert close(psi_complexity(eigs, delta, hnorm_sq),
@@ -56,7 +56,7 @@ def test_finite_and_explicit_lists_agree_bit_for_bit(vals, delta, s, j_max):
     exp = EigenSequence.explicit(vals, j_max)
     for eigs in (fin, exp):
         assert eigs.length == len(vals) and eigs.rank == np.count_nonzero(vals)
-    assert fin.trace() == exp.trace()
+    assert fin.tail_sum(0) == exp.tail_sum(0)
     assert [fin.tail_sum(j) for j in range(len(vals) + 2)] == [
         exp.tail_sum(j) for j in range(len(vals) + 2)
     ]

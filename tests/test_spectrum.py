@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from shiftkrr import spectrum
+from shiftkrr.cli import main
+from shiftkrr.shifts import Dataset
 from shiftkrr.spectrum import (
     EigenKernel,
     EigenSequence,
@@ -243,12 +247,33 @@ def test_kernel_json_round_trip():
     assert back.to_json() == kern.to_json()
 
 
-def test_poly_kappa_sq_waits_until_read_and_equals_the_trace():
-    eigs = EigenSequence.poly_decay(1.0, 1.0)
-    kern = EigenKernel(eigs, "hypercube", rank=16)
-    assert eigs._mu_head is None  # no 10^6-element caches at construction
-    assert kern.kappa_sq == EigenSequence.poly_decay(1.0, 1.0).trace()
-    assert kern.to_json()["kappa_sq"] == kern.kappa_sq
+@pytest.mark.parametrize("eigs", [POLY1, EigenSequence.poly_decay(0.7, 2.5, 1000),
+                                  EigenSequence.finite_rank(1.0 / np.arange(1, 101)),
+                                  EigenSequence.explicit([1.0, 0.5, 0.3, 0.1, 0.01], 50)])
+@pytest.mark.parametrize("rank", [1, 5, 64])
+def test_kappa_sq_is_the_sum_of_the_kept_eigenvalues(eigs, rank):
+    kern = EigenKernel(eigs, "hypercube", rank=rank)
+    assert kern.kappa_sq == np.sum(kern.mu)
+    # sup_x K(x, x) on the hypercube: every point attains it, up to summation order
+    x = np.random.default_rng(rank).choice([-1.0, 1.0], size=(40, kern.rank + 3))
+    assert np.allclose(np.diag(kern.gram(x)), kern.kappa_sq,
+                       rtol=kern.rank * np.finfo(float).eps, atol=0)
+
+
+def test_a_poly_fit_builds_no_poly_head(tmp_path):
+    rng = np.random.default_rng(5)
+    xs = rng.choice([-1.0, 1.0], size=(200, 64))
+    Dataset(xs, xs[:, 0] + rng.normal(size=200), np.ones(200)).to_csv(tmp_path / "data.csv")
+    kernel = {"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube",
+              "rank": 64}
+    spectrum._poly_head.cache_clear()
+    for mode in ("dual", "primal"):
+        cfg, out = tmp_path / f"{mode}-cfg.json", tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({"kernel": kernel, "lambda": 0.01, "mode": mode}))
+        assert main(["fit", "--config", str(cfg), "--data", str(tmp_path / "data.csv"),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kernel"]["kappa_sq"] == 1.6294305014088877
+    assert spectrum._poly_head.cache_info().currsize == 0
 
 
 def test_kappa_sq_errors_stay_at_construction():
