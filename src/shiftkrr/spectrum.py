@@ -15,17 +15,21 @@ expression over the head's suffix sums, the tail and an exact count of
 the eigenvalues above a level, so every output is deterministic with a
 known truncation error.
 
-A poly head (mu_1..mu_J and both suffix sums, 24 * j_max bytes) is
-shared per (alpha, c, j_max) per process and read-only: every sequence
-with that key reads the same arrays, and the ``HEAD_CACHE_SIZE`` most
-recently used heads stay alive.
+A head keeps both suffix sums at every 256th index, 16 * j_max / 256
+bytes, from one pass at its first sum, and the arrays of mu and its
+suffix sums only up to about the largest index a sum has asked for: 24
+bytes per index, not 24 * j_max bytes.  Every value is bit for bit the one
+summed over the whole head in one array.  A poly head is shared per
+(alpha, c, j_max) per process and read-only: every sequence with that
+key reads the same arrays, and the ``HEAD_CACHE_SIZE`` most recently used
+heads stay alive.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +39,9 @@ DEFAULT_J_MAX = 10**6
 
 #: number of poly heads (alpha, c, j_max) kept alive per process.
 HEAD_CACHE_SIZE = 4
+#: indices summed per chunk of a head's pass, and between two of its checkpoints
+_CHUNK = 2**16
+_STRIDE = 256
 
 #: log-spaced default grid used for delta and lambda searches.
 DEFAULT_GRID_MIN = 1e-4
@@ -64,8 +71,10 @@ class EigenSequence:
     ``finite`` and ``explicit`` differ only in their JSON.  The sums run
     over a head of ``length`` terms (the list, or mu_1..mu_{j_max} for
     poly decay) plus an analytic tail beyond it (0 for a list).  A poly
-    head is shared per (alpha, c, j_max) per process and read-only: 24 *
-    j_max bytes for mu and its two suffix sums.
+    head is shared per (alpha, c, j_max) per process and read-only.  It
+    holds 16 * j_max / 256 bytes of checkpoints plus 24 bytes per index up
+    to about the largest one a sum has asked for, and every sum equals,
+    bit for bit, the one over the whole head in one array.
     """
 
     def __init__(
@@ -171,6 +180,8 @@ class EigenSequence:
 
     def count_at_least(self, level: float) -> int:
         """Number of head indices j with mu_j >= level, exact under float comparison."""
+        if math.isnan(level):
+            raise ValueError("count_at_least needs a level that is not NaN")
         if self.kind != "poly":
             return int(np.count_nonzero(self.values >= level))
         if level <= 0:
@@ -193,12 +204,17 @@ class EigenSequence:
         if self.kind == "poly":
             return _poly_head(self.alpha, self.c, self.j_max)
         if self._mu_head is None:
-            self._mu_head = _Head.of(self.values)
+            values = self.values
+            self._mu_head = _Head(lambda lo, hi: values[lo:hi], self.length)
         return self._mu_head
 
     def tail_sum(self, j0: int) -> float:
-        """sum_{j > j0} mu_j: the head's suffix sum plus the analytic tail."""
-        return float(self._head().suf_mu[min(j0, self.length)]) + self._tail
+        """sum_{j > j0} mu_j for j0 >= 0: the head's suffix sum plus the analytic tail."""
+        if not j0 >= 0:  # also rejects NaN
+            raise ValueError("tail_sum needs j0 >= 0")
+        if j0 >= self.length:  # no head term is left
+            return self._tail
+        return float(self._head().upto(j0)[1][j0]) + self._tail
 
     def resolvent_sum(self, s: float) -> float:
         """sum_j mu_j / (mu_j + s) for s > 0.
@@ -210,10 +226,10 @@ class EigenSequence:
         """
         if not s > 0:  # also rejects NaN
             raise ValueError("resolvent shift must be positive")
-        mu, suf_mu, suf_mu2 = self._head()
         if self.rank is not None:
-            return float(np.sum(mu / (mu + s)))
+            return float(np.sum(self.values / (self.values + s)))
         jc = self.count_at_least(1e-4 * s)
+        mu, suf_mu, suf_mu2 = self._head().upto(jc)
         head = float(np.sum(mu[:jc] / (mu[:jc] + s)))
         s1 = float(suf_mu[jc])
         s2 = float(suf_mu2[jc])
@@ -221,28 +237,74 @@ class EigenSequence:
         return head + mid + self._tail / s
 
 
-class _Head(NamedTuple):
-    """mu_1..mu_J and its suffix sums: suf_mu[k] = sum_{j > k} mu_j, suf_mu2 likewise of mu^2."""
+class _Head:
+    """Suffix sums of mu_1..mu_J: suf_mu[k] = sum_{j > k} mu_j, suf_mu2 likewise of mu^2.
 
-    mu: np.ndarray
-    suf_mu: np.ndarray
-    suf_mu2: np.ndarray
+    One pass from J down to 1, in chunks of ``_CHUNK`` indices, keeps both
+    sums at every ``_STRIDE``-th k (16 J / _STRIDE bytes).  The full arrays
+    are kept only up to K, the largest k asked for so far rounded up to a
+    checkpoint, at least doubling when K grows; the new part is summed
+    down from the checkpoint at the new K.  Each sum is accumulated
+    small-to-large, so that tiny tails are not lost to cancellation, in the
+    same sequence of additions from J downward whatever K is, so every
+    value is the same as if the whole head were summed in one array.
+    """
 
-    @classmethod
-    def of(cls, mu: np.ndarray) -> "_Head":
-        # each suffix sum is accumulated small-to-large, so that tiny tails are
-        # not lost to cancellation, straight into its array: no temporaries
-        suf_mu = np.zeros(len(mu) + 1)
-        np.cumsum(mu[::-1], out=suf_mu[-2::-1])
-        suf_mu2 = np.zeros(len(mu) + 1)
-        np.multiply(mu, mu, out=suf_mu2[:-1])
-        np.cumsum(suf_mu2[-2::-1], out=suf_mu2[-2::-1])
-        return cls(mu, suf_mu, suf_mu2)
+    def __init__(self, values: Callable[[int, int], np.ndarray], length: int):
+        self._values = values  # (lo, hi) -> mu_{lo+1}..mu_hi
+        self.length = length
+        self._marks = np.zeros((2, length // _STRIDE + 1))
+        for lo, hi, _, sums in self._sweep(length, 0):
+            first = -(-lo // _STRIDE) * _STRIDE
+            self._marks[:, first // _STRIDE:hi // _STRIDE + 1] = sums[:, first - lo::_STRIDE]
+        mu = np.empty(0)
+        for arr in (mu, self._marks):
+            arr.flags.writeable = False
+        self._arrays = (mu, self._marks[:, :1])
+
+    def upto(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (mu, suf_mu, suf_mu2) over k' <= K for some K >= k; mu[i] is mu_{i+1}."""
+        mu, sums = self._arrays
+        K = len(mu)
+        if k > K:
+            top = min(self.length, -(-max(k, 2 * K) // _STRIDE) * _STRIDE)
+            mu, sums = np.empty(top), np.empty((2, top + 1))
+            mu[:K], sums[:, :K + 1] = self._arrays
+            for lo, hi, chunk_mu, chunk_sums in self._sweep(top, K):
+                mu[lo:hi] = chunk_mu
+                sums[:, lo:hi + 1] = chunk_sums
+            for arr in (mu, sums):
+                arr.flags.writeable = False
+            # one store of a consistent pair: two threads growing at once build the
+            # same values, so the one stored last loses nothing the other needs
+            self._arrays = (mu, sums)
+        return mu, sums[0], sums[1]
+
+    def _sweep(self, hi: int, lo: int):
+        """(start, stop, mu, sums) for the chunks of [lo, hi), from the top down.
+
+        ``mu`` holds mu_{start+1}..mu_stop and ``sums`` the two suffix sums
+        at k = start..stop, continued from the checkpoint at ``hi`` (or from
+        mu_J itself at J).
+        """
+        above = None if hi == self.length else self._marks[:, hi // _STRIDE]
+        while hi > lo:
+            start = max(lo, hi - _CHUNK)
+            mu = self._values(start, hi)
+            sums = np.empty((2, hi - start + 1))
+            sums[0, :-1] = mu
+            np.multiply(mu, mu, out=sums[1, :-1])
+            sums[:, -1] = 0.0 if above is None else above
+            for row in sums:
+                run = row[-2::-1] if above is None else row[::-1]
+                np.cumsum(run, out=run)
+            yield start, hi, mu, sums
+            hi, above = start, sums[:, 0].copy()
 
 
-def _poly_values(alpha: float, c: float, m: int) -> np.ndarray:
-    """mu_j = c * j^(-2 alpha) for j = 1..m, computed in one array."""
-    mu = np.arange(1, m + 1, dtype=float)
+def _poly_values(alpha: float, c: float, m: int, start: int = 0) -> np.ndarray:
+    """mu_j = c * j^(-2 alpha) for j = start+1..m, computed in one array."""
+    mu = np.arange(start + 1, m + 1, dtype=float)
     np.power(mu, -2.0 * alpha, out=mu)
     np.multiply(c, mu, out=mu)
     return mu
@@ -250,11 +312,8 @@ def _poly_values(alpha: float, c: float, m: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=HEAD_CACHE_SIZE)
 def _poly_head(alpha: float, c: float, j_max: int) -> _Head:
-    """The head of (alpha, c, j_max), built once and frozen, since every such sequence reads it."""
-    head = _Head.of(_poly_values(alpha, c, j_max))
-    for arr in head:
-        arr.flags.writeable = False
-    return head
+    """The head of (alpha, c, j_max), built once, since every such sequence reads it."""
+    return _Head(lambda lo, hi: _poly_values(alpha, c, hi, lo), j_max)
 
 
 # ---------------------------------------------------------------------------

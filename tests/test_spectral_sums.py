@@ -85,6 +85,23 @@ def test_nan_delta_is_rejected():
             psi_complexity(eigs, 0.5, math.nan)
 
 
+@pytest.mark.parametrize("eigs", [EigenSequence.finite_rank([1.0, 0.5, 0.25]),
+                                  EigenSequence.poly_decay(1.0, 1.0, 1000)])
+def test_a_negative_tail_index_is_rejected(eigs):
+    # it used to wrap around a list (-3 gave 0.75) and read only a poly's analytic tail
+    for j0 in (-1, -3, math.nan):
+        with pytest.raises(ValueError, match="j0 >= 0"):
+            eigs.tail_sum(j0)
+
+
+@pytest.mark.parametrize("eigs", [EigenSequence.finite_rank([1.0, 0.5, 0.25]),
+                                  EigenSequence.poly_decay(1.0, 1.0, 1000)])
+def test_a_nan_level_is_rejected(eigs):
+    # it used to count j_max for a poly sequence and 0 for a list
+    with pytest.raises(ValueError, match="NaN"):
+        eigs.count_at_least(math.nan)
+
+
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 2.5])
 def test_poly_resolvent_sum_where_s_squared_underflows(alpha):
     eigs = EigenSequence.poly_decay(alpha, 1.0)
