@@ -12,7 +12,8 @@ The seed of ``simulate-risk``, ``erm-failure`` and ``figure2`` is the
 ``--seed`` flag, else the SHIFTKRR_SEED environment variable, else the
 config's ``seed`` (default 0); only those subcommands convert it.  Integer
 keys (``n``, ``reps``, ``D``, ``seed`` and the grid's ``points``) take whole
-numbers: 8000.0 reads as 8000, and 8000.9 is a config error.
+numbers: 8000.0 reads as 8000, and 8000.9 is a config error.  Boolean
+keys (``weighted``, ``general_noise``) take JSON true or false only.
 
 Every handler runs with BLAS on one thread (``seeding.one_blas_thread``),
 so no output depends on the core count or ``OPENBLAS_NUM_THREADS``.
@@ -51,6 +52,14 @@ def _int(cfg: dict, key: str, default: Optional[int]) -> Optional[int]:
     """The whole number under ``key``: 8000 or 8000.0, never 8000.9 (None stays None)."""
     value = cfg.get(key, default)
     return None if value is None else whole_number(value, key)
+
+
+def _bool(cfg: dict, key: str) -> bool:
+    """The JSON ``true`` or ``false`` under ``key`` (default false); anything else is refused."""
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be true or false")
+    return value
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -99,7 +108,7 @@ def _cmd_fit(cfg: dict) -> dict:
     kernel = EigenKernel.from_json(_object(cfg, "kernel"))
     data = Dataset.from_csv(cfg["data"])
     lam = _float(cfg, "lambda", 0.1)
-    fit = fit_reweighted_krr if cfg.get("weighted", False) else fit_krr
+    fit = fit_reweighted_krr if _bool(cfg, "weighted") else fit_krr
     return fit(data, kernel, lam, mode=cfg.get("mode", "dual")).to_json()
 
 
@@ -138,7 +147,7 @@ def _cmd_critical_radius(cfg: dict) -> dict:
         n=_int(cfg, "n", 8000),
         hnorm_sq=_float(cfg, "hnorm_sq", 1.0),
         c0=_float(cfg, "c0", 1.0),
-        general_noise=bool(cfg.get("general_noise", False)),
+        general_noise=_bool(cfg, "general_noise"),
         grid=_grid_from(cfg),
     )
     return {"critical_radius": delta}

@@ -3,18 +3,18 @@
 Every fit comes from one core.  ``RidgeCore`` reduces a dataset to its
 weighted ridge statistics in the kernel's eigen-coordinates,
 G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y.  A ridge fit at one
-lam is one linear solve of (G + n lam I) z = c.  The norm-constrained ERM
-(through the ball-constrained quadratic ``ball_quadratic_min``) and the
-dual need the spectrum of G, which the core computes on first use and
-keeps, so every later fit on the same dataset, ridge fits included, reads
-the same eigendecomposition.
+lam is one linear solve of (G + n lam I) z = c.  Only the norm-constrained
+ERM (through the ball-constrained quadratic ``ball_quadratic_min``) needs
+the spectrum of G, which the core then computes and keeps, so every later
+fit on the same dataset reads its solves off that eigendecomposition.
 
 Ridge and reweighted ridge also have a ``dual`` mode, with coefficients
 alpha over the training points from the regularized kernel system.  It
-solves that system through the eigendecomposition of G, by the Woodbury
-identity on the scaled features; neither the kernel matrix nor any
-n x n array is formed.  ERM is the ridge fit at its multiplier, so every
-fit passes one stationarity check.
+solves that system by the Woodbury identity on the scaled features, each
+inner inverse being the core's ridge solve of G; neither the kernel
+matrix nor any n x n array is formed.  When the rank is at most the
+number of weighted rows, the dual's theta is the primal fit's.  ERM is the
+ridge fit at its multiplier, so every fit passes one stationarity check.
 
 Fitted models always carry their eigen-coordinates, so predictions,
 Hilbert norms, and exact L2(Q) errors are cheap regardless of mode.
@@ -144,11 +144,12 @@ class RidgeCore:
     n x D copy of the features.  The core keeps W^(1/2) F and W^(1/2) y
     for the dual.
 
-    G is decomposed only when a fit needs its spectrum: ``spectrum``
-    computes G = U diag(s) U^T on first use, for the ERM multiplier and
-    the dual, and keeps it.  A ridge fit reads z(xi) = U diag(1/(s + n xi)) U^T c
-    off a spectrum the core already holds and otherwise makes one linear
-    solve, so one lam costs no eigendecomposition.
+    Every fit solves with G + n xi I through ``_solve``, which reads
+    U diag(1/(s + n xi)) U^T off a spectrum the core already holds and
+    otherwise makes one linear solve.  G is decomposed only for the ERM
+    multiplier: ``spectrum`` computes G = U diag(s) U^T on first use by
+    ``fit_constrained`` and keeps it.  A ridge or dual fit on a fresh core
+    therefore makes no eigendecomposition.
     """
 
     def __init__(self, data: Dataset, kernel: EigenKernel,
@@ -191,8 +192,8 @@ class RidgeCore:
         self._spectrum = None
 
     @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(s, U, U^T c) with G = U diag(s) U^T and s clipped at 0, computed once.
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s, U) with G = U diag(s) U^T and s clipped at 0, computed once.
 
         The eigendecomposition runs on one BLAS thread, so its bytes do
         not depend on the caller's thread count.
@@ -203,8 +204,24 @@ class RidgeCore:
                     s, U = np.linalg.eigh(self.G)
             except np.linalg.LinAlgError as err:
                 raise FactorizationError(f"factorization failed: {err}") from err
-            self._spectrum = (np.clip(s, 0.0, None), U, U.T @ self.c)
+            self._spectrum = (np.clip(s, 0.0, None), U)
         return self._spectrum
+
+    def _solve(self, nlam: float, rhs: np.ndarray) -> np.ndarray:
+        """(G + nlam I)^(-1) rhs: off the spectrum when the core holds one, else one LU solve.
+
+        The LU solve runs on one BLAS thread, like the eigendecomposition.
+        """
+        if self._spectrum is not None:
+            s, U = self._spectrum
+            return U @ ((U.T @ rhs) / (s + nlam))
+        A = self.G.copy()
+        A.flat[::len(A) + 1] += nlam
+        try:
+            with one_blas_thread():
+                return np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as err:
+            raise FactorizationError(f"factorization failed: {err}") from err
 
     def _model(self, z: np.ndarray, lam: float, alpha: Optional[np.ndarray] = None) -> FittedModel:
         theta = np.zeros(self.kernel.rank)
@@ -213,27 +230,13 @@ class RidgeCore:
                            theta=theta, lam=lam, alpha=alpha)
 
     def fit_ridge(self, lam: float) -> FittedModel:
-        """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c.
-
-        z is read off the spectrum when the core holds one, and is
-        otherwise one LU solve of G + n lam I on one BLAS thread.
-        """
+        """(Weighted) kernel ridge regression at level lam, checked on (G + n lam I) z = c."""
         if not 0 < lam < math.inf:  # also rejects NaN
             raise ValueError("lam must be finite and positive")
         nlam = self.n * lam
         # a lam small enough to overflow the solve fails the NaN-safe check instead
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._spectrum is not None:
-                s, U, ct = self._spectrum
-                z = U @ (ct / (s + nlam))
-            else:
-                A = self.G.copy()
-                A.flat[::len(A) + 1] += nlam
-                try:
-                    with one_blas_thread():
-                        z = np.linalg.solve(A, self.c)
-                except np.linalg.LinAlgError as err:
-                    raise FactorizationError(f"factorization failed: {err}") from err
+            z = self._solve(nlam, self.c)
             _check_residual(self.G @ z + nlam * z - self.c, self.c)
         return self._model(z, lam)
 
@@ -242,8 +245,8 @@ class RidgeCore:
 
         With S = W^(1/2) and Fs = S F M^(1/2), so that G = Fs^T Fs, the
         system is (Fs Fs^T + n lam I) beta = S y with alpha = S beta.  The
-        Woodbury identity inverts it through G's eigendecomposition,
-        (Fs Fs^T + n lam I)^(-1) v = (v - Fs U diag(1/(s + n lam)) U^T Fs^T v) / (n lam),
+        Woodbury identity inverts it through the ridge solve of G,
+        (Fs Fs^T + n lam I)^(-1) v = (v - Fs (G + n lam I)^(-1) Fs^T v) / (n lam),
         and two refinement steps follow; then the residual of the
         unsymmetric system, S((Fs Fs^T + n lam I) beta - S y), is checked.
         A zero weight zeroes its row of Fs and of S y, so its alpha is 0.
@@ -252,19 +255,20 @@ class RidgeCore:
         systems, since rounding leaks into each solve through its Gram's
         null space: into beta as |y_perp| / (n lam), y_perp the part of S y
         outside the range of Fs, when the weighted rows outnumber the rank,
-        and into z when the rank is the larger.
+        and into z when the rank is the larger.  When the rank is at most
+        the weighted rows, theta is the primal fit's, bit for bit.
         """
         if not 0 < lam < math.inf:  # also rejects NaN
             raise ValueError("lam must be finite and positive")
         if self._F is None:
             raise ValueError("a core built from moments has no dual fit")
         nlam = self.n * lam
-        s, U, ct = self.spectrum
         Fs, rhs = self._F * self.sqrt_mu, self._y
         root_w = 1.0 if self._root_w is None else self._root_w
+        rows = len(rhs) if self._root_w is None else np.count_nonzero(self._root_w)
 
         def solve(v):
-            return (v - Fs @ (U @ ((U.T @ (Fs.T @ v)) / (s + nlam)))) / nlam
+            return (v - Fs @ self._solve(nlam, Fs.T @ v)) / nlam
 
         # a lam small enough to overflow the solve fails the NaN-safe check instead
         with np.errstate(over="ignore", invalid="ignore"):
@@ -272,8 +276,7 @@ class RidgeCore:
             for _ in range(2):
                 beta += solve(rhs - Fs @ (Fs.T @ beta) - nlam * beta)
             _check_residual(root_w * (Fs @ (Fs.T @ beta) + nlam * beta - rhs), root_w * rhs)
-        rows = len(rhs) if self._root_w is None else np.count_nonzero(self._root_w)
-        z = U @ (ct / (s + nlam)) if len(s) <= rows else Fs.T @ beta
+            z = self._solve(nlam, self.c) if len(self.c) <= rows else Fs.T @ beta
         return self._model(z, lam, alpha=root_w * beta)
 
     def fit_constrained(self, radius: float) -> FittedModel:
@@ -281,7 +284,8 @@ class RidgeCore:
         if not radius > 0:  # also rejects NaN
             raise ValueError("radius must be positive")
         n = self.n
-        s, _, ct = self.spectrum
+        s, U = self.spectrum
+        ct = U.T @ self.c
         trace_K = float(np.trace(self.G))  # sum_i w_i K(x_i, x_i)
         _, xi = ball_quadratic_min(s / n, ct / n, radius)
         xi_star = max(xi, 1e-10 * trace_K / n, 1e-300)

@@ -283,40 +283,6 @@ def hard_pair_cell(
     return core, krr_lambda_rule(n, B)
 
 
-def failure_cell(
-    n: int,
-    B: float,
-    sigma_sq: float = 1.0,
-    D: Optional[int] = None,
-    seed: int = 0,
-) -> Callable[[int], FailureRecord]:
-    """Check one (n, B) cell of ``simulate_failure``; return its replicate function.
-
-    The function maps rep to the ``FailureRecord`` of replication rep on
-    the core of ``hard_pair_cell``.  ERM runs first and decomposes G;
-    KRR then reads its solution off the same spectrum.
-    """
-    core_of, lam = hard_pair_cell(n, B, sigma_sq=sigma_sq, D=D, seed=seed)
-
-    def replicate(rep: int) -> FailureRecord:
-        core = core_of(rep)
-        erm = core.fit_constrained(1.0)
-        krr = core.fit_ridge(lam)
-        theta_star = np.zeros(core.kernel.rank)
-        theta_star[0] = 1.0
-        return FailureRecord(
-            rep=rep,
-            n=n,
-            B=float(B),
-            erm_risk=l2q_error(erm, theta_star, exact_mode=True),
-            krr_risk=l2q_error(krr, theta_star, exact_mode=True),
-            krr_hnorm_sq=hilbert_norm_sq(krr),
-            theta1_erm=float(erm.theta[0]),
-        )
-
-    return replicate
-
-
 def simulate_failure(
     n: int,
     B: float,
@@ -340,5 +306,22 @@ def simulate_failure(
     """
     if not reps >= 1:  # also rejects NaN
         raise ValueError("simulate_failure needs reps >= 1")
-    replicate = failure_cell(n, B, sigma_sq=sigma_sq, D=D, seed=seed)
+    core_of, lam = hard_pair_cell(n, B, sigma_sq=sigma_sq, D=D, seed=seed)
+
+    def replicate(rep: int) -> FailureRecord:
+        core = core_of(rep)
+        erm = core.fit_constrained(1.0)  # decomposes G; KRR reads its solve off the spectrum
+        krr = core.fit_ridge(lam)
+        theta_star = np.zeros(core.kernel.rank)
+        theta_star[0] = 1.0
+        return FailureRecord(
+            rep=rep,
+            n=n,
+            B=float(B),
+            erm_risk=l2q_error(erm, theta_star, exact_mode=True),
+            krr_risk=l2q_error(krr, theta_star, exact_mode=True),
+            krr_hnorm_sq=hilbert_norm_sq(krr),
+            theta1_erm=float(erm.theta[0]),
+        )
+
     return map_units(replicate, range(reps))

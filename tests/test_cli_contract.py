@@ -110,6 +110,12 @@ MALFORMED = [
                                            "eigs": {**POLY, "j_max": 100.5}}}, {}),
     ("simulate-risk", {**SWEEP, "fstar": {"kind": "phi", "j": 1.5}}, {}),
     ("lambda-star", {"eigs": {**POLY, "j_max": 1000.5}}, {}),
+    # boolean keys take JSON true or false only
+    ("critical-radius", {"eigs": POLY, "general_noise": "false"}, {}),
+    ("critical-radius", {"eigs": POLY, "general_noise": 1}, {}),
+    ("fit", {"kernel": KERNEL, "data": "d.csv", "weighted": "false"}, {"d.csv": DATA}),
+    ("fit", {"kernel": KERNEL, "data": "d.csv", "weighted": 1}, {"d.csv": DATA}),
+    ("fit", {"kernel": KERNEL, "data": "d.csv", "weighted": None}, {"d.csv": DATA}),
 ]
 
 

@@ -1,7 +1,7 @@
 """The dual ridge fit from the feature matrix, and ERM as the ridge fit at its multiplier.
 
-The dual solves through the core's eigendecomposition of the scaled
-features and forms neither the kernel matrix nor any n x n array; it must
+The dual solves through the core's ridge solve of the scaled features'
+Gram matrix and forms neither the kernel matrix nor any n x n array; it must
 agree with the feature-space normal equations also where the kernel rank
 exceeds n.  Constrained ERM is the ridge fit of the same core at its multiplier.
 """
@@ -135,18 +135,6 @@ def test_dual_fit_holds_no_n_by_n_array(weighted):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * n * D * 8
-
-
-def test_dual_fit_decomposes_once(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    rng = np.random.default_rng(6)
-    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=8)
-    xs = rng.integers(0, 2, size=(200, 8)).astype(float) * 2 - 1
-    fit_reweighted_krr(Dataset(xs, rng.normal(size=200), rng.uniform(0.0, 2.0, size=200)),
-                       kernel, 0.05, mode="dual")
-    assert calls == [(8, 8)]
 
 
 def test_dual_refines_to_the_normal_equations_at_tiny_lambda():

@@ -7,10 +7,12 @@ for the fits that need it."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from shiftkrr.estimators import RidgeCore, fit_constrained_erm, fit_krr
+from shiftkrr.errors import FactorizationError
+from shiftkrr.estimators import (RidgeCore, fit_constrained_erm, fit_krr,
+                                 fit_reweighted_krr)
 from shiftkrr.experiments import figure2
 from shiftkrr.shifts import Dataset
 from shiftkrr.spectrum import EigenKernel, EigenSequence
@@ -46,6 +48,21 @@ def test_solve_and_spectrum_routes_pass_the_check_and_agree_property(system):
         assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
 
 
+@settings(max_examples=80, deadline=None)
+@given(system=ridge_systems())
+def test_dual_theta_is_the_primal_theta_property(system):
+    # where the rank is at most the rows with positive weight, both modes read z off one solve
+    kernel, data, lam = system
+    rows = len(data) if data.weights is None else np.count_nonzero(data.weights)
+    assume(kernel.rank <= rows)
+    try:
+        dual = RidgeCore(data, kernel, data.weights).fit_dual(lam)
+    except FactorizationError:
+        reject()  # the dual's own check refused beta; there is no theta to compare
+    primal = RidgeCore(data, kernel, data.weights).fit_ridge(lam)
+    assert np.array_equal(dual.theta, primal.theta)
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     calls = []
@@ -70,6 +87,12 @@ def test_one_lambda_fits_make_no_eigendecomposition(eigh_calls):
     figure2(n_list=(200,), B_grid=(4.0, 16.0), reps=2, seed=1, D=16)
     kernel, data = hypercube_data()
     fit_krr(data, kernel, 0.1, mode="primal")
+    # dual fits, weighted or not, with the rank below n and above it
+    for n in (50, 4):
+        kernel, data = hypercube_data(n=n)
+        weighted = data.with_weights(np.linspace(0.0, 2.0, n))
+        fit_krr(data, kernel, 0.1, mode="dual")
+        fit_reweighted_krr(weighted, kernel, 0.1, mode="dual")
     assert eigh_calls == []
 
 
