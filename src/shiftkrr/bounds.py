@@ -27,7 +27,8 @@ class BoundReport:
 
     ``total = bias_sq + variance + extra`` where ``extra`` collects
     additive terms outside the bias/variance split (for example the
-    sigma^2/n term of the expectation bound).
+    sigma^2/n term of the expectation bound).  ``krr_bound`` at an array
+    of lambdas fills each field but ``extra`` with an array.
     """
 
     lambda_or_delta: float
@@ -42,7 +43,7 @@ class BoundReport:
 
 def krr_bound(
     eigs: EigenSequence,
-    lam: float,
+    lam: float | np.ndarray,
     B: float,
     n: float,
     sigma_sq: float = 1.0,
@@ -52,12 +53,20 @@ def krr_bound(
 
     bias^2 = 4 lam B ||f*||_H^2 and
     variance = 80 sigma^2 B (log n / n) sum_j mu_j / (mu_j + lam B).
+    ``lam`` is a number or an array of lambdas, summed in one call of
+    ``resolvent_sum``; for an array each field of the report is an array
+    whose entries are the one-lambda reports' floats.
     """
-    if not (lam > 0 and 1 <= B < math.inf and n >= 1 and sigma_sq > 0 and hnorm_sq >= 0):
+    lams = np.asarray(lam, dtype=float)
+    if not (np.all(lams > 0) and 1 <= B < math.inf and n >= 1 and sigma_sq > 0
+            and hnorm_sq >= 0):  # also rejects NaN
         raise ValueError("invalid krr_bound arguments")
-    bias_sq = 4.0 * lam * B * hnorm_sq
-    variance = 80.0 * sigma_sq * B * math.log(n) / n * eigs.resolvent_sum(lam * B)
-    return BoundReport(lam, bias_sq, variance)
+    with np.errstate(over="ignore"):
+        bias_sq = 4.0 * lams * B * hnorm_sq
+        variance = 80.0 * sigma_sq * B * math.log(n) / n * eigs.resolvent_sum(lams * B)
+    if lams.ndim == 0:
+        return BoundReport(float(lams), float(bias_sq), float(variance))
+    return BoundReport(lams, bias_sq, variance)
 
 
 def krr_bound_curve(
@@ -70,12 +79,16 @@ def krr_bound_curve(
 ) -> tuple[list[BoundReport], int]:
     """``krr_bound`` at every grid lambda and the index of the smallest total.
 
-    Ties go to the first grid point holding the minimum.
+    The whole grid is one ``krr_bound`` call.  Ties go to the first grid
+    point holding the minimum.
     """
     if len(grid) == 0:
         raise ValueError("lambda grid must be nonempty")
-    reports = [krr_bound(eigs, float(lam), B, n, sigma_sq, hnorm_sq) for lam in grid]
-    return reports, int(np.argmin([r.total for r in reports]))
+    curve = krr_bound(eigs, np.asarray(grid, dtype=float), B, n, sigma_sq, hnorm_sq)
+    reports = [BoundReport(*terms) for terms in zip(curve.lambda_or_delta.tolist(),
+                                                       curve.bias_sq.tolist(),
+                                                       curve.variance.tolist())]
+    return reports, int(np.argmin(curve.total))
 
 
 def lambda_star(
@@ -148,11 +161,9 @@ def minimax_lower(
     grid = default_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("delta grid must be nonempty")
-    vals = [
-        delta * delta + sigma_sq * B * effective_dim(eigs, float(delta)) / n
-        for delta in grid
-    ]
-    return c * float(np.min(vals))
+    d = effective_dim(eigs, grid)
+    with np.errstate(over="ignore"):
+        return c * float(np.min(grid * grid + sigma_sq * B * d / n))
 
 
 def reweighted_rate(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -234,7 +235,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at the first ``main`` call, not at import."""
     parser = argparse.ArgumentParser(
         prog="shiftkrr",
         description="Covariate-shift kernel regression: estimators, bounds, experiments.",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +44,18 @@ from .spectrum import EigenKernel, EigenSequence, default_grid
 FIGURE1_B_VALUES = (1.0, 5.0, 10.0, 15.0)
 FIGURE2_N_VALUES = (2000, 8000, 16000)
 FIGURE2_B_VALUES = (4.0, 16.0, 64.0, 256.0)
+
+
+def _numbers(values, key: str) -> Sequence[float]:
+    """``values`` if it is a list, tuple or array of numbers, else a ValueError naming ``key``.
+
+    A string or a boolean is refused, so a config list is never read one
+    character at a time and ``true`` is never the number 1.
+    """
+    if not (isinstance(values, (list, tuple, np.ndarray))
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)):
+        raise ValueError(f"'{key}' must be a JSON array of numbers")
+    return values
 
 
 def format_cell(v) -> str:
@@ -91,7 +104,9 @@ class ExperimentConfig:
     fit_mode: str = "primal"
 
     def __post_init__(self):
-        if not self.n_list or not self.shift_grid:
+        _numbers(self.n_list, "n_list")
+        _numbers(self.shift_grid, "shift_grid")
+        if not (len(self.n_list) and len(self.shift_grid)):
             raise ValueError("n_list and shift_grid must be nonempty")
         for name in ("reps", "n_mc"):
             if not getattr(self, name) >= 1:  # also rejects NaN
@@ -345,7 +360,7 @@ def figure1(
     n = 8000, B in {1, 5, 10, 15} on a 400-point log-spaced lambda grid.
     Exactly one row per B is flagged as the bound minimizer.
     """
-    if not len(B_values):
+    if not len(_numbers(B_values, "B_values")):
         raise ValueError("figure1 needs a nonempty B_values")
     if eigs is None:
         eigs = EigenSequence.poly_decay(1.0, 1.0)
@@ -381,6 +396,8 @@ def figure2(
     units for ``map_units`` on every core this process may run on; the rows
     do not depend on the worker count.
     """
+    _numbers(n_list, "n_list")
+    _numbers(B_grid, "B_grid")
     if not reps >= 1:  # also rejects NaN
         raise ValueError("figure2 needs reps >= 1")
     if not all(float(v).is_integer() for v in (*n_list, reps)):

@@ -17,12 +17,17 @@ known truncation error.
 
 A head keeps both suffix sums at every 256th index, 16 * j_max / 256
 bytes, from one pass at its first sum, and the arrays of mu and its
-suffix sums only up to about the largest index a sum has asked for: 24
-bytes per index, not 24 * j_max bytes.  Every value is bit for bit the one
-summed over the whole head in one array.  A poly head is shared per
-(alpha, c, j_max) per process and read-only: every sequence with that
-key reads the same arrays, and the ``HEAD_CACHE_SIZE`` most recently used
-heads stay alive.
+suffix sums only up to about the largest index a resolvent sum has asked
+for: 24 bytes per index, not 24 * j_max bytes.  A tail sum beyond the
+arrays adds at most 255 terms to the checkpoint above it and grows
+nothing.  Every value is bit for bit the one summed over the whole head
+in one array.  A poly head is shared per (alpha, c, j_max) per process
+and read-only: every sequence with that key reads the same arrays, and
+the ``HEAD_CACHE_SIZE`` most recently used heads stay alive.
+
+The counts, the sums and the functionals built on them take a number or
+an array: a grid calculator evaluates its whole grid in one call, and a
+number is the one-element case, with the same floats.
 """
 
 from __future__ import annotations
@@ -73,8 +78,10 @@ class EigenSequence:
     poly decay) plus an analytic tail beyond it (0 for a list).  A poly
     head is shared per (alpha, c, j_max) per process and read-only.  It
     holds 16 * j_max / 256 bytes of checkpoints plus 24 bytes per index up
-    to about the largest one a sum has asked for, and every sum equals,
-    bit for bit, the one over the whole head in one array.
+    to about the largest one a resolvent sum has asked for, and every sum
+    equals, bit for bit, the one over the whole head in one array.
+    ``count_at_least``, ``tail_sum`` and ``resolvent_sum`` take a number or
+    an array and give each array entry the number's result.
     """
 
     def __init__(
@@ -178,25 +185,38 @@ class EigenSequence:
         out[:k] = self.values[:k]
         return out
 
-    def count_at_least(self, level: float) -> int:
-        """Number of head indices j with mu_j >= level, exact under float comparison."""
-        if math.isnan(level):
+    def count_at_least(self, level: float | np.ndarray) -> int | np.ndarray:
+        """Number of head indices j with mu_j >= level, exact under float comparison.
+
+        ``level`` is a number (an int is returned) or an array of levels (an
+        int array of its shape).  A poly count is the closed form corrected,
+        one step at a time and all levels at once, against ``eigenvalue(k)``.
+        """
+        levels = np.asarray(level, dtype=float)
+        flat = levels.reshape(-1)
+        if np.isnan(flat).any():
             raise ValueError("count_at_least needs a level that is not NaN")
         if self.kind != "poly":
-            return int(np.count_nonzero(self.values >= level))
-        if level <= 0:
-            return self.j_max
-        x = (self.c / level) ** (1.0 / (2.0 * self.alpha))
-        if not math.isfinite(x) or x >= self.j_max:
-            k = self.j_max
-        else:
-            k = int(math.floor(x + 1e-12))
+            # the values are nonincreasing, so those >= level are a prefix
+            return _like(levels, np.searchsorted(-self.values, -flat, side="right"))
+        k = np.full(flat.shape, self.j_max, dtype=np.int64)
+        live = np.flatnonzero(flat > 0)  # a level <= 0 counts the whole head
+        with np.errstate(divide="ignore", over="ignore"):
+            x = (self.c / flat[live]) ** (1.0 / (2.0 * self.alpha))
+        k[live] = np.where(x < self.j_max, np.floor(x + 1e-12), self.j_max)
         # the closed form can be off by rounding: correct it against mu_j itself
-        while k >= 1 and self.eigenvalue(k) < level:
-            k -= 1
-        while k < self.j_max and self.eigenvalue(k + 1) >= level:
-            k += 1
-        return max(0, min(k, self.j_max))
+        rows = live
+        while rows.size:
+            rows = rows[k[rows] >= 1]
+            rows = rows[np.array([self.eigenvalue(j) for j in k[rows].tolist()]) < flat[rows]]
+            k[rows] -= 1
+        rows = live
+        while rows.size:
+            rows = rows[k[rows] < self.j_max]
+            rows = rows[np.array([self.eigenvalue(j) for j in (k[rows] + 1).tolist()])
+                        >= flat[rows]]
+            k[rows] += 1
+        return _like(levels, k)
 
     # ---- spectral sums ---------------------------------------------------
 
@@ -208,33 +228,57 @@ class EigenSequence:
             self._mu_head = _Head(lambda lo, hi: values[lo:hi], self.length)
         return self._mu_head
 
-    def tail_sum(self, j0: int) -> float:
-        """sum_{j > j0} mu_j for j0 >= 0: the head's suffix sum plus the analytic tail."""
-        if not j0 >= 0:  # also rejects NaN
-            raise ValueError("tail_sum needs j0 >= 0")
-        if j0 >= self.length:  # no head term is left
-            return self._tail
-        return float(self._head().upto(j0)[1][j0]) + self._tail
+    def tail_sum(self, j0: int | np.ndarray) -> float | np.ndarray:
+        """sum_{j > j0} mu_j for whole j0 >= 0: the head's suffix sum plus the analytic tail.
 
-    def resolvent_sum(self, s: float) -> float:
-        """sum_j mu_j / (mu_j + s) for s > 0.
+        ``j0`` is a number (a float is returned) or an array (a float array
+        of its shape).  The head arrays do not grow: a suffix sum beyond
+        them starts from the checkpoint at or above j0.
+        """
+        idx = np.asarray(j0)
+        flat = idx.reshape(-1)
+        if not np.all(flat >= 0):  # also rejects NaN
+            raise ValueError("tail_sum needs j0 >= 0")
+        if not np.all(np.floor(flat) == flat):
+            raise ValueError("tail_sum needs whole-number j0")
+        out = np.full(flat.shape, self._tail)
+        inside = flat < self.length  # beyond it no head term is left
+        if inside.any():
+            out[inside] += self._head().suffix_sum(flat[inside].astype(np.int64))
+        return _like(idx, out)
+
+    def resolvent_sum(self, s: float | np.ndarray) -> float | np.ndarray:
+        """sum_j mu_j / (mu_j + s) for s > 0, a number or an array of shifts.
 
         A list is summed exactly.  For poly decay the sum is exact over the
         head where mu_j >= 1e-4 s; the remainder uses the two-term expansion
         mu/s - (mu/s)^2 whose relative error is <= 1e-8, plus the analytic
-        tail beyond j_max.
+        tail beyond j_max.  An array of shifts reads one head, grown once to
+        the largest exact index; each shift's exact part is its own sum.
         """
-        if not s > 0:  # also rejects NaN
+        shifts = np.asarray(s, dtype=float)
+        flat = shifts.reshape(-1)
+        if not np.all(flat > 0):  # also rejects NaN
             raise ValueError("resolvent shift must be positive")
-        if self.rank is not None:
-            return float(np.sum(self.values / (self.values + s)))
-        jc = self.count_at_least(1e-4 * s)
-        mu, suf_mu, suf_mu2 = self._head().upto(jc)
-        head = float(np.sum(mu[:jc] / (mu[:jc] + s)))
-        s1 = float(suf_mu[jc])
-        s2 = float(suf_mu2[jc])
-        mid = s1 / s - s2 / s / s  # never forms s * s, which underflows
-        return head + mid + self._tail / s
+        if self.kind != "poly":
+            v = self.values
+            return _like(shifts, np.array([np.sum(v / (v + t)) for t in flat.tolist()]))
+        jc = self.count_at_least(1e-4 * flat)
+        top = int(jc.max(initial=0))
+        mu, suf_mu, suf_mu2 = self._head().upto(top)
+        head, terms = np.empty(flat.shape), np.empty(top)
+        for i, (j, t) in enumerate(zip(jc.tolist(), flat.tolist())):
+            part, out = mu[:j], terms[:j]
+            np.divide(part, np.add(part, t, out=out), out=out)
+            head[i] = np.add.reduce(out)  # np.sum's pairwise sum, without its wrapper
+        with np.errstate(over="ignore"):
+            mid = suf_mu[jc] / flat - suf_mu2[jc] / flat / flat  # never forms s * s, which underflows
+            return _like(shifts, head + mid + self._tail / flat)
+
+
+def _like(arg: np.ndarray, out: np.ndarray):
+    """``out`` in the shape of ``arg``, as a Python number when ``arg`` is one."""
+    return out.item() if arg.ndim == 0 else out.reshape(arg.shape)
 
 
 class _Head:
@@ -280,6 +324,27 @@ class _Head:
             self._arrays = (mu, sums)
         return mu, sums[0], sums[1]
 
+    def suffix_sum(self, ks: np.ndarray) -> np.ndarray:
+        """suf_mu[k] for each k in ``ks`` (0 <= k < J), without growing the arrays.
+
+        A k beyond the arrays is read at its checkpoint, or ``_sweep`` adds
+        the at most ``_STRIDE - 1`` terms below the checkpoint above it, so
+        the value is the one the whole pass gives.
+        """
+        mu, sums = self._arrays
+        out = np.empty(len(ks))
+        held = ks <= len(mu)
+        out[held] = sums[0, ks[held]]
+        marked = ~held & (ks % _STRIDE == 0)
+        out[marked] = self._marks[0, ks[marked] // _STRIDE]
+        far = np.flatnonzero(~held & ~marked)
+        tops = (ks[far] // _STRIDE + 1) * _STRIDE
+        for top in set(tops.tolist()):  # np.unique would import numpy.ma
+            rows = far[tops == top]
+            for start, _, _, run in self._sweep(min(top, self.length), int(ks[rows].min())):
+                out[rows] = run[0, ks[rows] - start]
+        return out
+
     def _sweep(self, hi: int, lo: int):
         """(start, stop, mu, sums) for the chunks of [lo, hi), from the top down.
 
@@ -321,12 +386,13 @@ def _poly_head(alpha: float, c: float, j_max: int) -> _Head:
 # ---------------------------------------------------------------------------
 
 
-def effective_dim(eigs: EigenSequence, delta: float) -> int:
+def effective_dim(eigs: EigenSequence, delta: float | np.ndarray) -> int | np.ndarray:
     """Smallest index whose eigenvalue drops to delta^2 or below.
 
     d(delta) = min{ j >= 1 : mu_j <= delta^2 }, one more than the number
     of eigenvalues above delta^2.  For a finite-rank sequence with delta^2
     below the last nonzero eigenvalue this is D + 1, since mu_{D+1} = 0.
+    ``delta`` is a number or an array of them, as in ``count_at_least``.
 
     Raises
     ------
@@ -334,38 +400,47 @@ def effective_dim(eigs: EigenSequence, delta: float) -> int:
         For infinite sequences when no index <= j_max satisfies the
         condition.
     """
-    if not delta > 0:  # also rejects NaN
+    deltas = np.asarray(delta, dtype=float)
+    if not np.all(deltas > 0):  # also rejects NaN
         raise ValueError("delta must be positive")
-    above = eigs.count_at_least(math.nextafter(delta * delta, math.inf))
-    if eigs.rank is None and above >= eigs.length:
+    with np.errstate(over="ignore"):
+        above = eigs.count_at_least(np.nextafter(deltas * deltas, math.inf))
+    if eigs.rank is None and np.any(above >= eigs.length):
         raise TruncationExceeded("index exceeds truncation")
     return above + 1
 
 
-def psi_complexity(eigs: EigenSequence, delta: float, hnorm_sq: float = 1.0) -> float:
-    """Kernel complexity Psi(delta) = sum_j min{delta^2, mu_j * hnorm_sq}."""
-    if not (delta >= 0 and hnorm_sq >= 0):  # also rejects NaN
+def psi_complexity(eigs: EigenSequence, delta: float | np.ndarray,
+                   hnorm_sq: float = 1.0) -> float | np.ndarray:
+    """Kernel complexity Psi(delta) = sum_j min{delta^2, mu_j * hnorm_sq}, at one delta or an array."""
+    deltas = np.asarray(delta, dtype=float)
+    flat = deltas.reshape(-1)
+    if not (np.all(flat >= 0) and hnorm_sq >= 0):  # also rejects NaN
         raise ValueError("delta and hnorm_sq must be nonnegative")
-    d2 = delta * delta
-    if d2 == 0.0 or hnorm_sq == 0.0:
-        return 0.0
-    # mu_j * h >= d2 on j <= count: those terms contribute d2 each; the level
-    # stays positive where d2 / h underflows, so zero eigenvalues never count
-    count = eigs.count_at_least(max(d2 / hnorm_sq, math.ulp(0.0)))
-    return count * d2 + hnorm_sq * eigs.tail_sum(count)
+    psi = np.zeros(flat.shape)
+    if hnorm_sq != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in float arithmetic
+            d2 = flat * flat
+            live = np.flatnonzero(d2)
+            d2 = d2[live]
+            # mu_j * h >= d2 on j <= count: those terms contribute d2 each; the level
+            # stays positive where d2 / h underflows, so zero eigenvalues never count
+            count = eigs.count_at_least(np.maximum(d2 / hnorm_sq, math.ulp(0.0)))
+            psi[live] = count * d2 + hnorm_sq * eigs.tail_sum(count)
+    return _like(deltas, psi)
 
 
 def m_function(
     eigs: EigenSequence,
-    delta: float,
+    delta: float | np.ndarray,
     sigma_sq: float,
     V_sq: float,
     n: float,
     hnorm_sq: float = 1.0,
     c0: float = 1.0,
     general_noise: bool = False,
-) -> float:
-    """Critical inequality left-hand side M(delta).
+) -> float | np.ndarray:
+    """Critical inequality left-hand side M(delta), at one delta or an array.
 
     M(delta) = c0 * sqrt(sigma^2 V^2 log^3(n) / n * Psi(delta)); with
     ``general_noise`` the value is further multiplied by
@@ -380,11 +455,12 @@ def m_function(
         raise ValueError("V_sq must be >= 1")
     if not c0 > 0:
         raise ValueError("c0 must be positive")
-    psi = psi_complexity(eigs, delta, hnorm_sq)
-    base = c0 * math.sqrt(sigma_sq * V_sq * math.log(n) ** 3 / n * psi)
-    if general_noise:
-        base *= math.sqrt(psi / sigma_sq) + 1.0
-    return base
+    psi = np.asarray(psi_complexity(eigs, delta, hnorm_sq))
+    with np.errstate(over="ignore"):
+        base = c0 * np.sqrt(sigma_sq * V_sq * math.log(n) ** 3 / n * psi)
+        if general_noise:
+            base *= np.sqrt(psi / sigma_sq) + 1.0
+    return _like(psi, base)
 
 
 def critical_radius(
@@ -400,7 +476,9 @@ def critical_radius(
     """Smallest grid point delta satisfying M(delta) <= delta^2 / 2.
 
     Relies on M(delta)/delta being nonincreasing, so once a grid point
-    satisfies the inequality all larger ones do too.
+    satisfies the inequality all larger ones do too.  M is evaluated at
+    every grid point at once, so an invalid delta is refused wherever it
+    sits in the grid.
 
     Raises
     ------
@@ -408,16 +486,15 @@ def critical_radius(
         With message "no solution on grid" when even the largest grid
         point fails the inequality.
     """
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = (default_grid() if grid is None else np.asarray(grid, dtype=float)).reshape(-1)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    for delta in grid:
-        m = m_function(eigs, float(delta), sigma_sq, V_sq, n, hnorm_sq, c0, general_noise)
-        if m <= delta * delta / 2.0:
-            return float(delta)
-    raise NumericalError("no solution on grid")
+    m = m_function(eigs, grid, sigma_sq, V_sq, n, hnorm_sq, c0, general_noise)
+    with np.errstate(over="ignore"):
+        hits = np.flatnonzero(m <= grid * grid / 2.0)
+    if hits.size == 0:
+        raise NumericalError("no solution on grid")
+    return float(grid[hits[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -136,3 +136,57 @@ def test_numerical_failure_exit_code(tmp_path):
     })
     assert main(["fit", "--config", cfg, "--data", str(data_path),
                  "--out", str(tmp_path / "m.json")]) == 3
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch, capsys):
+    """A good call, an argparse failure, a config error and a good call again, in one
+    process, write what four fresh processes write, with the parser built once."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from shiftkrr import cli
+
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "cfg.json", {"eigs": POLY_EIGS, "B": 5.0, "grid": {"points": 30}})
+    bad = write_cfg(tmp_path, "bad.json", {"eigs": POLY_EIGS, "B": "x"})
+    calls = [["bound-curve", "--config", cfg, "--out", "a.csv"],
+             ["bound-curve", "--seed", "1", "--out", "b.csv"],
+             ["lambda-star", "--config", bad, "--out", "c.json"],
+             ["lambda-star", "--config", cfg, "--out", "d.json"]]
+
+    def outputs(run):
+        got = []
+        for argv in calls:
+            code, err = run(argv)
+            path = tmp_path / argv[-1]
+            got.append((code, err, path.read_bytes() if path.exists() else None))
+            path.unlink(missing_ok=True)
+        return got
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().err
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "shiftkrr.cli", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        return proc.returncode, proc.stderr
+
+    cli.build_parser.cache_clear()
+    try:
+        here = outputs(in_process)
+        assert cli.build_parser.cache_info().misses == 1
+    finally:
+        cli.build_parser.cache_clear()
+    assert [code for code, _, _ in here] == [0, 2, 2, 0]
+    assert here[1][1].endswith("error: unrecognized arguments: --seed 1\n")
+    assert here[2][1].startswith("config error:")
+    assert here == outputs(fresh)

@@ -116,6 +116,16 @@ MALFORMED = [
     ("fit", {"kernel": KERNEL, "data": "d.csv", "weighted": "false"}, {"d.csv": DATA}),
     ("fit", {"kernel": KERNEL, "data": "d.csv", "weighted": 1}, {"d.csv": DATA}),
     ("fit", {"kernel": KERNEL, "data": "d.csv", "weighted": None}, {"d.csv": DATA}),
+    # figure lists take a JSON array of numbers: a string is not iterated by character
+    ("figure1", {"B_values": "15", "grid": [0.1]}, {}),
+    ("figure1", {"B_values": [True], "grid": [0.1]}, {}),
+    ("figure1", {"B_values": 5.0, "grid": [0.1]}, {}),
+    ("figure2", {"n_list": "8", "B_grid": [2.0], "reps": 1}, {}),
+    ("figure2", {"n_list": [60], "B_grid": "2", "reps": 1}, {}),
+    ("figure2", {"n_list": [60, False], "B_grid": [2.0], "reps": 1}, {}),
+    ("simulate-risk", {**SWEEP, "n_list": "123"}, {}),
+    ("simulate-risk", {**SWEEP, "shift_grid": "28"}, {}),
+    ("simulate-risk", {**SWEEP, "shift_grid": [True]}, {}),
 ]
 
 
@@ -289,6 +299,22 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys, cmd, 
     assert run(tmp_path, monkeypatch, [cmd], cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,base,key,value", [
+    ("figure1", {"grid": [0.1]}, "B_values", "15"),
+    ("figure1", {"grid": [0.1]}, "B_values", [True]),
+    ("figure2", {"grid": [0.1]}, "n_list", "8"),
+    ("figure2", {"grid": [0.1]}, "B_grid", [2.0, None]),
+    ("simulate-risk", SWEEP, "n_list", "123"),
+    ("simulate-risk", SWEEP, "shift_grid", "28"),
+    ("simulate-risk", SWEEP, "shift_grid", [True]),
+])
+def test_a_config_list_that_is_not_an_array_of_numbers_exits_2(tmp_path, monkeypatch, capsys,
+                                                               cmd, base, key, value):
+    assert run(tmp_path, monkeypatch, [cmd], {**base, key: value}) == 2
+    assert capsys.readouterr().err == f"config error: '{key}' must be a JSON array of numbers\n"
     assert not (tmp_path / "out").exists()
 
 
