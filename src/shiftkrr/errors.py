@@ -1,4 +1,4 @@
-"""The error types the CLI maps to exit codes, and the integer-key check.
+"""The error types the CLI maps to exit codes, and the integer-key and unread-key checks.
 
 ``ConfigError`` (a ``ValueError``, like every refusal of input) exits 2.
 Every ``NumericalFailure`` exits 3: a well-formed computation that has no
@@ -16,6 +16,13 @@ def whole_number(value, key: str) -> int:
 
 class ConfigError(ValueError):
     """A config key or flag the CLI cannot use."""
+
+
+def refuse_unread_keys(obj: dict, read: set, what: str) -> None:
+    """Raise a ConfigError naming each key of ``obj`` that ``what`` does not read."""
+    unread = sorted(set(obj) - read)
+    if unread:
+        raise ConfigError(f"{what} does not read {', '.join(map(repr, unread))}")
 
 
 class NumericalFailure(RuntimeError):

@@ -27,7 +27,7 @@ from .bounds import (
     lambda_rule_poly,
     reweighted_rate,
 )
-from .errors import FactorizationError, ProjectionError, whole_number
+from .errors import FactorizationError, ProjectionError, refuse_unread_keys, whole_number
 from .estimators import (
     FittedModel,
     fit_constrained_erm,
@@ -194,9 +194,17 @@ def _build_pair(template: dict, shift: Optional[float]) -> ShiftPair:
     return ShiftPair.from_json(spec)
 
 
+#: the keys each lambda rule reads
+_LAMBDA_RULE_KEYS = {"fixed": {"rule", "value"}, "finite_rank": {"rule"},
+                     "poly": {"rule", "alpha"}, "reweighted": {"rule", "c", "alpha"}}
+
+
 def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
                     sigma_sq: float) -> float:
     name = rule.get("rule", "fixed")
+    if name not in _LAMBDA_RULE_KEYS:
+        raise ValueError(f"unknown lambda rule {name!r}")
+    refuse_unread_keys(rule, _LAMBDA_RULE_KEYS[name], f"lambda rule {name!r}")
     if name == "fixed":
         return float(rule["value"])
     if name == "finite_rank":
@@ -207,14 +215,12 @@ def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
         if pair.declared_B is None:
             raise ValueError("poly lambda rule needs a B-bounded pair")
         return lambda_rule_poly(alpha, pair.declared_B, sigma_sq, n)
-    if name == "reweighted":
-        v_sq = pair.declared_V_sq
-        c = float(rule.get("c", 1.0))
-        if "alpha" in rule:
-            return reweighted_rate("poly", v_sq, sigma_sq, n, c, alpha=float(rule["alpha"]))
-        D = int(np.count_nonzero(kernel.mu))
-        return reweighted_rate("finite_rank", v_sq, sigma_sq, n, c, D=D)
-    raise ValueError(f"unknown lambda rule {name!r}")
+    v_sq = pair.declared_V_sq  # the reweighted rule
+    c = float(rule.get("c", 1.0))
+    if "alpha" in rule:
+        return reweighted_rate("poly", v_sq, sigma_sq, n, c, alpha=float(rule["alpha"]))
+    D = int(np.count_nonzero(kernel.mu))
+    return reweighted_rate("finite_rank", v_sq, sigma_sq, n, c, D=D)
 
 
 #: (pair, kernel) families whose eigenfunctions are orthonormal under the target

@@ -126,6 +126,22 @@ MALFORMED = [
     ("simulate-risk", {**SWEEP, "n_list": "123"}, {}),
     ("simulate-risk", {**SWEEP, "shift_grid": "28"}, {}),
     ("simulate-risk", {**SWEEP, "shift_grid": [True]}, {}),
+    # eigs and lambda_rule objects refuse keys their kind does not read
+    ("lambda-star", {"eigs": {**POLY, "jmax": 10}}, {}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "poly", "alpha": 1, "B": 64}}, {}),
+]
+
+# (subcommand, config, the key its error names): each key is one the object's kind does not read
+UNREAD_KEYS = [
+    ("lambda-star", {"eigs": {**POLY, "jmax": 10}}, "jmax"),
+    ("critical-radius", {"eigs": {**POLY, "values": [1.0]}}, "values"),
+    ("bound-curve", {"eigs": {"kind": "finite", "values": [1.0], "j_max": 10}}, "j_max"),
+    ("lower-bound", {"eigs": {"kind": "explicit", "values": [1.0], "alpha": 1.0}}, "alpha"),
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "eigs": {**POLY, "C": 2.0}}}, "C"),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "poly", "alpha": 1, "B": 64}}, "B"),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"value": 0.1, "alpha": 1.0}}, "alpha"),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "finite_rank", "value": 0.1}}, "value"),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "reweighted", "value": 0.1}}, "value"),
 ]
 
 
@@ -149,6 +165,28 @@ def test_malformed_input_exits_2_or_3(tmp_path, monkeypatch, capsys, cmd, cfg, f
     assert run(tmp_path, monkeypatch, [cmd], cfg, files) in (2, 3)
     assert capsys.readouterr().err.startswith(("config error:", "numerical failure:"))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,cfg,key", UNREAD_KEYS)
+def test_a_key_the_object_does_not_read_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                           cmd, cfg, key):
+    assert run(tmp_path, monkeypatch, [cmd], cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"does not read '{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,cfg", [
+    ("lambda-star", {"eigs": {**POLY, "c": 2.0, "j_max": 1000}}),
+    ("lower-bound", {"eigs": {"kind": "finite", "values": [1.0, 0.5]}}),
+    ("critical-radius", {"eigs": {"kind": "explicit", "values": [1.0, 0.5], "j_max": 2}}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "poly", "alpha": 1.0}}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "reweighted", "c": 0.5, "alpha": 1.0}}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "finite_rank"}}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"value": 0.1}}),
+])
+def test_every_key_an_object_reads_is_accepted(tmp_path, monkeypatch, cmd, cfg):
+    assert run(tmp_path, monkeypatch, [cmd], cfg) == 0
 
 
 @pytest.mark.parametrize("module,name,bases", [

@@ -6,7 +6,7 @@ one-point call gives, and so must ``krr_bound``'s at an array of
 lambdas.  ``minimax_lower`` and ``critical_radius`` evaluate
 their whole grid with these forms, so they must equal the per-point
 definitions, keep their error types and refuse a bad grid entry wherever
-it sits.
+it sits.  Poly tail sums are checked against scipy's Hurwitz zeta.
 """
 
 import json
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 from shiftkrr import spectrum
 from shiftkrr.bounds import krr_bound, minimax_lower
@@ -35,14 +36,16 @@ SEQUENCES = {
 
 
 def _one_point_resolvent(eigs, s):
-    """The resolvent sum as a loop over shifts computes it: one head slice per shift."""
+    """The resolvent sum as a loop over shifts computes it: mu and both suffix sums per shift."""
     if eigs.kind != "poly":
         return float(np.sum(eigs.values / (eigs.values + s)))
     jc = eigs.count_at_least(1e-4 * s)
-    mu, suf_mu, suf_mu2 = eigs._head().upto(jc)
-    head = float(np.sum(mu[:jc] / (mu[:jc] + s)))
-    s1, s2 = float(suf_mu[jc]), float(suf_mu2[jc])
-    return head + (s1 / s - s2 / s / s) + eigs._tail / s
+    mu = eigs.leading(jc)
+    exact = float(np.sum(mu / (mu + s)))
+    p, J = 2.0 * eigs.alpha, np.array([jc])
+    s1 = float(spectrum._poly_suffix(p, eigs.c, J, eigs.j_max)[0])
+    s2 = float(spectrum._poly_suffix(2.0 * p, eigs.c * eigs.c, J, eigs.j_max)[0])
+    return exact + (s1 / s - s2 / s / s) + eigs._tail / s
 
 
 def _eigenvalue_levels(eigs, picks):
@@ -78,7 +81,6 @@ def test_array_forms_equal_the_scalar_calls_at_eigenvalue_levels(name):
        ks=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=8),
        shifts=st.lists(st.floats(min_value=1e-12, max_value=1e3), min_size=1, max_size=8))
 def test_poly_array_forms_equal_the_scalar_calls(alpha, c, j_max, ks, shifts):
-    spectrum._poly_head.cache_clear()
     eigs = EigenSequence.poly_decay(alpha, c, j_max)
     levels = _eigenvalue_levels(eigs, [min(k, j_max) for k in ks])
     assert eigs.count_at_least(levels).tolist() == [eigs.count_at_least(float(v)) for v in levels]
@@ -139,36 +141,44 @@ def test_krr_bound_at_an_array_of_lambdas_holds_its_one_lambda_reports(name):
         krr_bound(eigs, np.r_[lams, math.nan], 3.0, 2000)
 
 
-def _reference_suffix(mu):
-    return np.concatenate((np.cumsum(mu[::-1])[::-1], [0.0]))
+def _zeta_suffix(p, c, j0, J):
+    """c * sum_{j0 < j <= J} j^-p: scipy's Hurwitz zeta difference, or term by term where it cancels."""
+    head, tail = zeta(p, j0 + 1), zeta(p, J + 1)
+    if tail <= head / 8:
+        return c * float(head - tail)
+    return c * math.fsum(float(j) ** -p for j in range(j0 + 1, J + 1))
 
 
 @pytest.mark.parametrize("alpha,c,j_max", [(1.0, 1.0, 1000), (0.75, 2.5, 1024),
                                            (1.3, 0.3, 1023), (3.0, 1.0, 5 * 2**16 + 77)])
 def test_tail_sums_from_checkpoints_are_bit_exact_and_hold_no_arrays(alpha, c, j_max):
-    spectrum._poly_head.cache_clear()
+    """Tail sums are the zeta difference plus the integral tail; an array holds the numbers' bits."""
     eigs = EigenSequence.poly_decay(alpha, c, j_max)
-    want = _reference_suffix(c * np.arange(1, j_max + 1, dtype=float) ** (-2.0 * alpha))
-    j0 = np.unique(np.r_[np.arange(0, min(j_max, 3000)), np.arange(j_max - 600, j_max),
-                         np.arange(0, j_max, 97)])
-    assert eigs.tail_sum(j0).tobytes() == (want[j0] + eigs._tail).tobytes()
-    assert [eigs.tail_sum(int(j)) for j in j0[::50]] == (want[j0[::50]] + eigs._tail).tolist()
-    # no suffix sum grew the head's arrays of mu and its sums
-    assert len(eigs._head().upto(0)[0]) == 0
+    j0 = np.unique(np.r_[np.arange(0, min(j_max, 300)), np.arange(j_max - 300, j_max),
+                         np.arange(0, j_max, j_max // 40)])
+    got = eigs.tail_sum(j0)
+    assert got.tolist() == [eigs.tail_sum(int(j)) for j in j0]
+    want = np.array([_zeta_suffix(2.0 * alpha, c, int(j), j_max) for j in j0]) + eigs._tail
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_critical_radius_on_a_fine_grid_holds_at_most_one_stride(tmp_path, monkeypatch):
-    """Its smallest grid delta counts 10^6 indices; only their suffix sums are read."""
+    """At j_max = 10^7 its smallest delta counts 10^6 indices; its output is the zeta one's."""
     monkeypatch.chdir(tmp_path)
-    spectrum._poly_head.cache_clear()
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"eigs": {"kind": "poly", "alpha": 1.0, "j_max": 10**7},
          "grid": {"lo": 1e-6, "hi": 10.0, "points": 100}}))
-    try:
-        assert main(["critical-radius", "--config", "cfg.json", "--out", "out"]) == 0
-        assert len(spectrum._poly_head(1.0, 1.0, 10**7).upto(0)[0]) <= spectrum._STRIDE
-    finally:
-        spectrum._poly_head.cache_clear()
+    assert main(["critical-radius", "--config", "cfg.json", "--out", "out"]) == 0
+    delta = json.loads((tmp_path / "out").read_text())["critical_radius"]
+    # Psi(delta) with its tail from zeta: count * delta^2 + sum_{j > count} mu_j
+    eigs = EigenSequence.poly_decay(1.0, 1.0, 10**7)
+    grid = np.geomspace(1e-6, 10.0, 100)
+    counts = eigs.count_at_least(grid * grid)
+    psi = counts * (grid * grid) + np.array([_zeta_suffix(2.0, 1.0, int(k), 10**7) + 1e-7
+                                           for k in counts])
+    assert np.allclose(spectrum.psi_complexity(eigs, grid), psi, rtol=1e-15, atol=0)
+    ok = np.sqrt(math.log(8000) ** 3 / 8000 * psi) <= grid * grid / 2.0
+    assert delta == grid[np.flatnonzero(ok)[0]]
 
 
 def _per_point_minimax(eigs, B, n, sigma_sq, grid, c):

@@ -1,13 +1,23 @@
-"""The head-plus-tail spectral arithmetic against elementwise brute force."""
+"""The spectral sums against elementwise brute force and the Hurwitz zeta function."""
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftkrr import spectrum
 from shiftkrr.spectrum import EigenKernel, EigenSequence, effective_dim, psi_complexity
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # nonincreasing lists, often ending in zeros
 eigen_lists = st.tuples(
@@ -113,3 +123,83 @@ def test_zero_eigenvalue_adds_nothing_when_the_level_underflows():
     # delta^2 / hnorm_sq underflows to 0, the level at which a zero eigenvalue counts
     assert psi_complexity(EigenSequence.finite_rank([0.0]), 6.8e-162, 18.0) == 0.0
     assert psi_complexity(EigenSequence.finite_rank([1.0, 0.0]), 6.8e-162, 18.0) == 6.8e-162**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=600))
+def test_list_tail_sums_equal_the_reversed_cumsum_bit_for_bit(vals):
+    mu = np.array(sorted(vals, reverse=True), dtype=float)
+    want = np.concatenate((np.cumsum(mu[::-1])[::-1], [0.0, 0.0]))
+    j0 = np.arange(len(mu) + 2)
+    for eigs in (EigenSequence.finite_rank(mu), EigenSequence.explicit(mu, max(len(mu), 1))):
+        assert eigs.tail_sum(j0).tobytes() == want.tobytes()
+
+
+def test_a_list_sequence_leaves_the_callers_array_writeable():
+    values = np.array([1.0, 0.5, 0.25])
+    eigs = EigenSequence.finite_rank(values)
+    assert eigs.tail_sum(0) == 1.75
+    assert values.flags.writeable
+    values[0] = 2.0
+    # the sequence holds its own copy, so its sums and its values still agree
+    assert eigs.tail_sum(0) == 1.75 and eigs.leading(3).tolist() == [1.0, 0.5, 0.25]
+
+
+def test_bound_subcommands_at_j_max_1e7_raise_the_rss_by_less_than_32_mib(tmp_path):
+    """A closed-form sum to j_max = 10**7 holds no array of j_max values."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eigs": {"kind": "poly", "alpha": 1.0, "j_max": 10**7}}))
+    script = textwrap.dedent(f"""
+        import resource
+        from shiftkrr.cli import main
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        for cmd in ("lambda-star", "critical-radius", "bound-curve"):
+            assert main([cmd, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r} + "/" + cmd]) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    rise_kib = int(out.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+    assert rise_kib < 32 * 1024
+
+
+def _hurwitz_suffix(p, c, lo, J, plus=0.0):
+    """c * (zeta(p, lo+1) - zeta(p, J+1)) + plus, rounded once to a float.
+
+    mpmath's Hurwitz zeta at a large second argument loses about
+    (p + 1) * log10(J) of its working digits (zeta(16, 12046) at 60 digits
+    is off by 4e-15 relative), so the working precision grows with them.
+    """
+    with mpmath.workdps(30 + int((p + 1) * math.log10(J + 1))):
+        return float(c * (mpmath.zeta(p, lo + 1) - mpmath.zeta(p, J + 1)) + plus)
+
+
+@st.composite
+def _poly_suffix_cases(draw):
+    """(alpha, c, J, j0s): j0 at 0, at 31..33, within 33 of J, and anywhere up to J."""
+    J = draw(st.integers(min_value=1, max_value=10**7))
+    j0 = st.one_of(st.sampled_from([0, 31, 32, 33]).map(lambda j: min(j, J)),
+                   st.integers(min_value=0, max_value=33).map(lambda d: max(J - d, 0)),
+                   st.integers(min_value=0, max_value=J))
+    return (draw(st.floats(min_value=0.51, max_value=4.0)),
+            draw(st.floats(min_value=1e-2, max_value=1e2)),
+            J, draw(st.lists(j0, min_size=1, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_poly_suffix_cases())
+def test_poly_suffix_sums_are_the_hurwitz_zeta_difference(case):
+    alpha, c, J, j0s = case
+    eigs = EigenSequence.poly_decay(alpha, c, J)
+    lo = np.array(j0s, dtype=np.int64)
+    sums = {"tail_sum": (eigs.tail_sum(lo), 2.0 * alpha, c, eigs._tail),
+            # the two suffix sums resolvent_sum reads past its exact part: of mu and of mu^2
+            "sum of mu": (spectrum._poly_suffix(2.0 * alpha, c, lo, J), 2.0 * alpha, c, 0.0),
+            "sum of mu^2": (spectrum._poly_suffix(4.0 * alpha, c * c, lo, J),
+                            4.0 * alpha, c * c, 0.0)}
+    assert sums["tail_sum"][0].tolist() == [eigs.tail_sum(j) for j in j0s]
+    for name, (got, p, scale, plus) in sums.items():
+        for j, value in zip(j0s, got.tolist()):
+            want = _hurwitz_suffix(p, scale, j, J, plus)
+            assert abs(value - want) <= 1e-15 * want, (name, j, value, want)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from shiftkrr import spectrum
 from shiftkrr.cli import main
 from shiftkrr.shifts import Dataset
 from shiftkrr.spectrum import (
@@ -62,8 +61,9 @@ def test_effective_dim_truncation_error():
 
 
 def test_poly_tail_sum_is_zeta_minus_the_head():
-    oracle = zeta(2) - np.sum(1.0 / np.arange(1, 11, dtype=float) ** 2)
-    assert POLY1.tail_sum(10) == pytest.approx(oracle, abs=1e-9)
+    # the sum over 10 < j <= 10^6 is a Hurwitz zeta difference; beyond it, the integral bound
+    oracle = zeta(2, 11) - zeta(2, 10**6 + 1) + 1e-6
+    assert POLY1.tail_sum(10) == pytest.approx(oracle, rel=1e-15, abs=0)
 
 
 def test_psi_examples():
@@ -261,19 +261,18 @@ def test_kappa_sq_is_the_sum_of_the_kept_eigenvalues(eigs, rank):
 
 
 def test_a_poly_fit_builds_no_poly_head(tmp_path):
+    """A fit's kappa_sq sums the 64 eigenvalues its kernel keeps, not the 10^6 of the sequence."""
     rng = np.random.default_rng(5)
     xs = rng.choice([-1.0, 1.0], size=(200, 64))
     Dataset(xs, xs[:, 0] + rng.normal(size=200), np.ones(200)).to_csv(tmp_path / "data.csv")
     kernel = {"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube",
               "rank": 64}
-    spectrum._poly_head.cache_clear()
     for mode in ("dual", "primal"):
         cfg, out = tmp_path / f"{mode}-cfg.json", tmp_path / f"{mode}.json"
         cfg.write_text(json.dumps({"kernel": kernel, "lambda": 0.01, "mode": mode}))
         assert main(["fit", "--config", str(cfg), "--data", str(tmp_path / "data.csv"),
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["kernel"]["kappa_sq"] == 1.6294305014088877
-    assert spectrum._poly_head.cache_info().currsize == 0
 
 
 def test_kappa_sq_errors_stay_at_construction():
