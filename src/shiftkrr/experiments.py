@@ -36,9 +36,9 @@ from .estimators import (
     hilbert_norm_sq,
     l2q_error,
 )
-from .hard_instance import hard_pair_cell, within_hard_range
-from .seeding import derive_seed, map_units
-from .shifts import Dataset, ShiftPair, default_truncation, sample_dataset, truncate_lr
+from .hard_instance import hard_pair_cell, hypercube_ridge_core, within_hard_range
+from .seeding import derive_seed, map_units, rng_for
+from .shifts import ShiftPair, default_truncation, sample_dataset, truncate_lr
 from .spectrum import EigenKernel, EigenSequence, default_grid
 
 FIGURE1_B_VALUES = (1.0, 5.0, 10.0, 15.0)
@@ -90,7 +90,7 @@ class ExperimentConfig:
     estimator: str = "krr"
     lambda_rule: dict = field(default_factory=lambda: {"rule": "fixed", "value": 0.1})
     n_list: Sequence[int] = (1000,)
-    shift_grid: Sequence[float] = (1.0,)
+    shift_grid: Optional[Sequence[float]] = None  # None: the pair's own B or tau_sq
     sigma_sq: float = 1.0
     hnorm_sq: float = 1.0
     fstar: dict = field(default_factory=lambda: {"kind": "phi", "j": 1})
@@ -105,8 +105,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _numbers(self.n_list, "n_list")
-        _numbers(self.shift_grid, "shift_grid")
-        if not (len(self.n_list) and len(self.shift_grid)):
+        shifts = (None,) if self.shift_grid is None else _numbers(self.shift_grid, "shift_grid")
+        if not (len(self.n_list) and len(shifts)):
             raise ValueError("n_list and shift_grid must be nonempty")
         for name in ("reps", "n_mc"):
             if not getattr(self, name) >= 1:  # also rejects NaN
@@ -185,12 +185,13 @@ def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.nd
 
 
 def _build_pair(template: dict, shift: Optional[float]) -> ShiftPair:
+    """The pair of ``template``, its B or tau_sq set to ``shift`` unless that is None."""
     spec = dict(template)
     if shift is not None:
         if spec["family"] == "hypercube":
-            spec["B"] = shift
+            spec["B"] = float(shift)
         elif spec["family"] == "gaussian_scale":
-            spec["tau_sq"] = shift
+            spec["tau_sq"] = float(shift)
     return ShiftPair.from_json(spec)
 
 
@@ -230,23 +231,35 @@ _EXACT_RISK_FAMILIES = {("hypercube", "hypercube"), ("gaussian_scale", "hermite"
 def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
     """Run the configured estimator over the (n, shift) grid with replications.
 
-    Rows are emitted in canonical grid order.  Fit failures are recorded
+    Rows are emitted in canonical grid order.  Without a ``shift_grid`` the
+    grid is the pair's own B or tau_sq; with one, its entries override the
+    pair's.  Fit failures are recorded
     per row in the status column rather than aborting the sweep.  Every
     cell resolves its pair, lambda, risk mode and estimator once, before
     any replicate runs; the cells then run one after another through
     ``map_units`` on one worker, inside its one-BLAS-thread scope.  Spreading
     the cells over both cores of a 2-core machine made the benchmark's
     ``risk_sweep`` slower, not faster, and raised its peak RSS.
+
+    A replicate draws its sample from ``rng_for(seed_r, 1)`` as
+    ``sample_dataset`` does.  An unweighted primal fit (KRR in primal mode,
+    or ERM) with hypercube features on the hypercube pair reads the sample
+    through ``hypercube_ridge_core``, from its streamed moments, with no
+    n x D dataset: y = F theta* there, and both risks read only theta.
+    Every other replicate builds the ``Dataset``, which a dual or weighted
+    fit needs.
     """
     kernel = EigenKernel.from_json(config.kernel)
     theta_star = fstar_coordinates(config.fstar, kernel, config.hnorm_sq)
+    sigma = math.sqrt(config.sigma_sq)
+    shifts = (None,) if config.shift_grid is None else config.shift_grid
 
     def fstar_fn(x: np.ndarray) -> np.ndarray:
         return kernel.feature_matrix(x) @ theta_star
 
     def risk_cell(ni: int, bi: int) -> Callable[[int], RiskRow]:
         n = int(config.n_list[ni])
-        pair = _build_pair(config.pair, float(config.shift_grid[bi]))
+        pair = _build_pair(config.pair, shifts[bi])
         b_or_v2 = pair.declared_B if pair.declared_B is not None else pair.declared_V_sq
         lam = _resolve_lambda(config.lambda_rule, n, pair, kernel, config.sigma_sq)
         if not 0 < lam < math.inf:  # also rejects NaN
@@ -261,8 +274,17 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
                    if config.weight_rule == "tau_n" else pair.declared_B)
             if tau is None:
                 raise ValueError(f"weight rule 'B' needs a B-bounded pair, not {pair.family}")
+        streamed = ((config.estimator == "erm"
+                     or (config.estimator == "krr" and config.fit_mode == "primal"))
+                    and pair.family == kernel.family == "hypercube")
 
-        def fit(data: Dataset) -> FittedModel:
+        def fit(seed_r: int) -> FittedModel:
+            if streamed:
+                core = hypercube_ridge_core(kernel, theta_star, n, pair.dim, pair.declared_B,
+                                            sigma, rng_for(seed_r, 1))
+                return (core.fit_ridge(lam) if config.estimator == "krr"
+                        else core.fit_constrained(config.radius))
+            data = sample_dataset(pair, fstar_fn, sigma, n, seed_r)
             if config.estimator == "krr":
                 return fit_krr(data, kernel, lam, mode=config.fit_mode)
             if config.estimator == "erm":
@@ -274,7 +296,7 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
         def replicate(rep: int) -> RiskRow:
             seed_r = derive_seed(config.seed, ni, bi, rep)
             try:
-                model = fit(sample_dataset(pair, fstar_fn, math.sqrt(config.sigma_sq), n, seed_r))
+                model = fit(seed_r)
                 if exact:
                     risk = l2q_error(model, theta_star, exact_mode=True)
                 else:
@@ -288,7 +310,7 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
         return replicate
 
     cells = [risk_cell(ni, bi) for ni in range(len(config.n_list))
-             for bi in range(len(config.shift_grid))]
+             for bi in range(len(shifts))]
     per_cell = map_units(lambda replicate: list(map(replicate, range(config.reps))), cells, 1)
     return [row for rows in per_cell for row in rows]
 

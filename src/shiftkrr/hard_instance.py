@@ -131,6 +131,34 @@ def sample_hard_pair_moments(
     return xtx, xte
 
 
+def hypercube_ridge_core(kernel: EigenKernel, theta_star: np.ndarray, n: int, D: int, B: float,
+                         sigma: float, rng: np.random.Generator) -> RidgeCore:
+    """The ``RidgeCore`` of n hard-pair source points with responses y = F theta* + e.
+
+    F holds the kernel's coordinate features x_1..x_rank of the points and
+    e their N(0, sigma^2) noise, drawn from ``rng`` as
+    ``shifts.sample_dataset`` draws them.  The moments come from
+    ``sample_hard_pair_moments`` over all D coordinates, so no n x D array
+    is formed; F^T F is x^T x restricted to the first rank coordinates,
+    F^T y = (F^T F) theta* + F^T e, and both are then restricted to the
+    kernel's nonzero eigenvalues.  F^T F equals the product of the drawn
+    design bit for bit; F^T y differs from the product with y in rounding
+    only.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = kernel.rank
+    if r > D:
+        raise ValueError(f"requested {r} coordinate features from dimension {D}")
+    xtx, xte = sample_hard_pair_moments(n, D, B, sigma, rng)
+    FtF = xtx[:r, :r]
+    Fty = FtF @ theta_star + xte[:r]
+    active = kernel.mu > 0
+    if not np.all(active):
+        FtF, Fty = FtF[np.ix_(active, active)], Fty[active]
+    return RidgeCore.from_moments(kernel, n, FtF, Fty)
+
+
 def g_dual_tail(
     v_rest: np.ndarray,
     mu_rest: np.ndarray,
@@ -255,9 +283,10 @@ def hard_pair_cell(
     The first value maps rep to the ``RidgeCore`` of replication rep: n
     source points of the hard hypercube pair, drawn from the stream
     ``rng_for(derive_seed(seed, rep), 1)``, covariates first and then the
-    N(0, sigma^2) noise e of the responses y = x_1 + e.  The core is built
-    from the moments of ``sample_hard_pair_moments``, x^T x and
-    x^T y = (x^T x) e_1 + x^T e, so no replicate holds an n x D array.  A
+    N(0, sigma^2) noise e of the responses y = x_1 + e.  The core is
+    ``hypercube_ridge_core`` at theta* = e_1, built from x^T x and
+    x^T y = (x^T x) e_1 + x^T e, so no replicate holds an n x D array; the
+    product with e_1 is the first column of x^T x bit for bit.  A
     core depends on (seed, rep) alone, so replications can run in any
     order and on any worker.  The second value is the prescribed ridge level
     ``krr_lambda_rule(n, B)``.  The ambient dimension defaults to
@@ -275,10 +304,11 @@ def hard_pair_cell(
         raise ValueError("D must not exceed n")
     kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=D)
     sigma = math.sqrt(sigma_sq)
+    e1 = np.eye(1, D)[0]
 
     def core(rep: int) -> RidgeCore:
-        xtx, xte = sample_hard_pair_moments(n, D, B, sigma, rng_for(derive_seed(seed, rep), 1))
-        return RidgeCore.from_moments(kernel, n, xtx, xtx[:, 0] + xte)
+        return hypercube_ridge_core(kernel, e1, n, D, B, sigma,
+                                    rng_for(derive_seed(seed, rep), 1))
 
     return core, krr_lambda_rule(n, B)
 

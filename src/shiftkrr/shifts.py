@@ -16,7 +16,6 @@ evaluator plus declared B and/or V^2 constants.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import whole_number
+from .errors import refuse_unread_keys, whole_number
 from .seeding import rng_for
 
 
@@ -120,10 +119,13 @@ class ShiftPair:
 
     @classmethod
     def from_json(cls, obj) -> "ShiftPair":
+        """The pair of a config object, which may hold no key its family does not read."""
         family = obj["family"]
         if family == "hypercube":
+            refuse_unread_keys(obj, {"family", "D", "B"}, "pair family 'hypercube'")
             return hypercube_hard_pair(whole_number(obj["D"], "D"), float(obj.get("B", 1.0)))
         if family == "gaussian_scale":
+            refuse_unread_keys(obj, {"family", "tau_sq"}, "pair family 'gaussian_scale'")
             return gaussian_scale_pair(float(obj["tau_sq"]))
         raise ValueError(f"unknown shift family {family!r}")
 
@@ -178,9 +180,14 @@ def _hard_pair_blocks(n: int, D: int, B: float, sigma: float, rng: np.random.Gen
     buffered = bool(n * D and entry["has_uint32"])
     halves = n * D - buffered
     words = (halves + 1) // 2
-    mask_rng = np.random.Generator(copy.deepcopy(bitgen).advance(words)) if masked else None
-    noise_rng = (np.random.Generator(copy.deepcopy(bitgen).advance(words + n * masked))
-                 if noisy else None)
+
+    def advanced(steps: int) -> np.random.Generator:
+        gen = np.random.PCG64(0)  # a third of a deepcopy's cost; the seed is overwritten
+        gen.state = entry
+        return np.random.Generator(gen.advance(steps))
+
+    mask_rng = advanced(words) if masked else None
+    noise_rng = advanced(words + n * masked) if noisy else None
 
     def blocks():
         carry = np.uint32(entry["uinteger"]) if buffered else None

@@ -142,6 +142,11 @@ UNREAD_KEYS = [
     ("simulate-risk", {**SWEEP, "lambda_rule": {"value": 0.1, "alpha": 1.0}}, "alpha"),
     ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "finite_rank", "value": 0.1}}, "value"),
     ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "reweighted", "value": 0.1}}, "value"),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "hypercube", "D": 4, "Bogus": 2}}, "Bogus"),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "hypercube", "D": 4, "tau_sq": 0.9}},
+     "tau_sq"),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "gaussian_scale", "tau_sq": 0.9, "D": 4},
+                       "shift_grid": [0.9]}, "D"),
 ]
 
 
@@ -184,6 +189,11 @@ def test_a_key_the_object_does_not_read_exits_2_naming_it(tmp_path, monkeypatch,
     ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "reweighted", "c": 0.5, "alpha": 1.0}}),
     ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "finite_rank"}}),
     ("simulate-risk", {**SWEEP, "lambda_rule": {"value": 0.1}}),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "hypercube", "D": 4, "B": 2.0}}),
+    # without a shift_grid, the grid is the pair's own tau_sq
+    ("simulate-risk", {**{k: v for k, v in SWEEP.items() if k != "shift_grid"},
+                       "pair": {"family": "gaussian_scale", "tau_sq": 0.9},
+                       "kernel": {"eigs": POLY, "eigenfunctions": "hermite", "rank": 4}}),
 ])
 def test_every_key_an_object_reads_is_accepted(tmp_path, monkeypatch, cmd, cfg):
     assert run(tmp_path, monkeypatch, [cmd], cfg) == 0
@@ -285,8 +295,16 @@ GAUSSIAN_PAIR = {"pair": {"family": "gaussian_scale", "tau_sq": 0.9}, "shift_gri
      "lambda must be finite and positive"),
     ({**SWEEP, "lambda_rule": {"rule": "fixed", "value": 0.0}},
      "lambda must be finite and positive"),
+    # a primal fit reads streamed moments, a dual fit the dataset: both refuse the rank
+    ({**SWEEP, "kernel": {**SWEEP["kernel"], "rank": 5}},
+     "requested 5 coordinate features from dimension 4"),
+    ({**SWEEP, "kernel": {**SWEEP["kernel"], "rank": 5}, "estimator": "erm"},
+     "requested 5 coordinate features from dimension 4"),
+    ({**SWEEP, "kernel": {**SWEEP["kernel"], "rank": 5}, "fit_mode": "dual"},
+     "requested 5 coordinate features from dimension 4"),
 ], ids=["risk", "weight_rule", "fit_mode", "clip-at-B-unbounded", "exact-not-orthonormal",
-        "n_mc-0", "radius-nan", "truncation_scale-nan", "lambda-nan", "lambda-0"])
+        "n_mc-0", "radius-nan", "truncation_scale-nan", "lambda-nan", "lambda-0",
+        "rank-above-D-primal", "rank-above-D-erm", "rank-above-D-dual"])
 def test_sweep_config_typos_exit_2(tmp_path, monkeypatch, capsys, cfg, message):
     assert run(tmp_path, monkeypatch, ["simulate-risk"], cfg) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")

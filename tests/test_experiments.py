@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftkrr import experiments
+from shiftkrr import estimators, experiments
 from shiftkrr.experiments import (
     FIGURE1_HEADER,
     FIGURE2_HEADER,
@@ -150,10 +150,20 @@ def test_run_risk_sweep_records_failures(monkeypatch):
     def boom(*args, **kwargs):
         raise FactorizationError("factorization failed")
 
-    monkeypatch.setattr(experiments, "fit_krr", boom)
+    # both the streamed and the Dataset route fit through the core's ridge solve
+    monkeypatch.setattr(estimators.RidgeCore, "fit_ridge", boom)
     rows = run_risk_sweep(make_config(reps=2))
     assert all(r.status == "factorization failed" for r in rows)
     assert all(math.isnan(r.risk) for r in rows)
+
+
+def test_a_pairs_own_shift_is_the_grid_without_a_shift_grid():
+    pair = {"family": "hypercube", "D": 16, "B": 2.0}
+    # a shift_grid wins over the pair's B
+    assert [r.b_or_v2 for r in run_risk_sweep(make_config(pair=pair, reps=2))] == [4.0, 4.0]
+    own = run_risk_sweep(make_config(pair=pair, shift_grid=None, reps=2))
+    assert [r.b_or_v2 for r in own] == [2.0, 2.0]
+    assert own == run_risk_sweep(make_config(shift_grid=[2.0], reps=2))
 
 
 def test_config_validation():
@@ -171,6 +181,7 @@ def test_risk_row_reproducible_in_isolation():
     # any row can be recomputed from (master seed, grid indices, rep) alone
     from shiftkrr.seeding import derive_seed, rng_for
     from shiftkrr.estimators import fit_krr, l2q_error
+    from shiftkrr.hard_instance import hypercube_ridge_core
 
     cfg = make_config(n_list=[150, 300], shift_grid=[2.0, 8.0], reps=4)
     rows = run_risk_sweep(cfg)
@@ -182,12 +193,15 @@ def test_risk_row_reproducible_in_isolation():
     theta_star = fstar_coordinates(cfg.fstar, kernel, cfg.hnorm_sq)
     from shiftkrr.shifts import Dataset, hypercube_hard_pair
 
+    core = hypercube_ridge_core(kernel, theta_star, 300, 16, 8.0, 1.0, rng_for(seed_r, 1))
+    assert l2q_error(core.fit_ridge(0.05), theta_star, exact_mode=True) == target.risk
+    # the same sample as a Dataset: its c = M^(1/2) F^T y differs in rounding only
     pair = hypercube_hard_pair(16, 8.0)
     rng = rng_for(seed_r, 1)
     xs = pair.sample_source(300, rng)
     ys = kernel.feature_matrix(xs) @ theta_star + rng.normal(0.0, 1.0, 300)
     model = fit_krr(Dataset(xs, ys), kernel, 0.05, mode="primal")
-    assert l2q_error(model, theta_star, exact_mode=True) == target.risk
+    assert l2q_error(model, theta_star, exact_mode=True) == pytest.approx(target.risk, rel=1e-12)
 
 
 def test_forced_mc_risk_close_to_exact():
