@@ -8,8 +8,8 @@ their builtin bases, so ``NumericalError`` is still a ``ValueError``.
 
 
 def whole_number(value, key: str) -> int:
-    """``value`` as an int: 8000 or 8000.0, never 8000.9, NaN or inf (a ValueError naming ``key``)."""
-    if not float(value).is_integer():
+    """8000 or 8000.0 as an int; 8000.9, NaN, inf or a boolean raise a ValueError naming ``key``."""
+    if isinstance(value, bool) or not float(value).is_integer():
         raise ValueError(f"'{key}' must be a whole number")
     return int(value)
 

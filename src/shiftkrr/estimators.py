@@ -338,9 +338,11 @@ def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> Fi
 
     In the eigenbasis of the Gram matrix the problem is the ball-constrained
     quadratic of ``ball_quadratic_min``, whose multiplier xi is the ridge
-    level of the solution.  A multiplier below a trace-relative floor is
-    raised to that floor, which returns the minimum-norm empirical risk
-    minimizer (the lam -> 0+ ridge limit) when it is feasible.  The fitted
+    level of the solution.  A multiplier below the floor
+    xi_floor = 1e-10 trace(G) / n is raised to it, so the fit is the ridge
+    fit at xi_floor, near the lam -> 0+ ridge limit.  When the ball is
+    slack and G is singular (fewer rows than the rank), rounding in the
+    null space of G is amplified by about 1/(n xi_floor) there.  The fitted
     Hilbert norm never exceeds the radius by more than relative 1e-6.
     """
     return RidgeCore(data, kernel).fit_constrained(radius)

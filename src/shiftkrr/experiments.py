@@ -36,7 +36,7 @@ from .estimators import (
     hilbert_norm_sq,
     l2q_error,
 )
-from .hard_instance import hard_pair_cell, hypercube_ridge_core, within_hard_range
+from .hard_instance import hard_pair_runs, hypercube_ridge_core, within_hard_range
 from .seeding import derive_seed, map_units, rng_for
 from .shifts import ShiftPair, default_truncation, sample_dataset, truncate_lr
 from .spectrum import EigenKernel, EigenSequence, default_grid
@@ -109,11 +109,11 @@ class ExperimentConfig:
         if not (len(self.n_list) and len(shifts)):
             raise ValueError("n_list and shift_grid must be nonempty")
         for name in ("reps", "n_mc"):
-            if not getattr(self, name) >= 1:  # also rejects NaN
+            setattr(self, name, whole_number(getattr(self, name), name))
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not all(float(v).is_integer() for v in (*self.n_list, self.reps, self.n_mc)):
-            raise ValueError("n_list entries, reps and n_mc must be whole numbers")
-        self.reps, self.n_mc = int(self.reps), int(self.n_mc)
+        if not all(float(v).is_integer() for v in self.n_list):
+            raise ValueError("n_list entries must be whole numbers")
         for name in ("radius", "truncation_scale"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and positive")
@@ -156,6 +156,10 @@ RISK_HEADER = ("rep", "n", "B_or_V2", "estimator", "lambda", "risk",
                "hnorm_sq", "seed", "status")
 
 
+#: the keys each fstar kind reads
+_FSTAR_KEYS = {"phi": {"kind", "j"}, "spread": {"kind", "exponent"}}
+
+
 def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.ndarray:
     """Eigen-coordinates of the regression function with the target norm.
 
@@ -165,6 +169,9 @@ def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.nd
     polynomial-decay risk exponent visible at desk scale.
     """
     kind = spec.get("kind", "phi")
+    if kind not in _FSTAR_KEYS:
+        raise ValueError(f"unknown fstar kind {kind!r}")
+    refuse_unread_keys(spec, _FSTAR_KEYS[kind], f"a {kind} 'fstar'")
     mu = kernel.mu
     theta = np.zeros(kernel.rank)
     if kind == "phi":
@@ -173,15 +180,15 @@ def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.nd
             raise ValueError("fstar index outside the kernel rank")
         theta[j - 1] = math.sqrt(hnorm_sq * mu[j - 1])
         return theta
-    if kind == "spread":
-        e = float(spec.get("exponent", 1.25))
-        raw = np.arange(1, kernel.rank + 1, dtype=float) ** -e
-        live = mu > 0
-        raw[~live] = 0.0
-        scale = float(np.sum(raw[live] ** 2 / mu[live]))
-        theta[live] = raw[live] * math.sqrt(hnorm_sq / scale)
-        return theta
-    raise ValueError(f"unknown fstar kind {kind!r}")
+    e = float(spec.get("exponent", 1.25))
+    if not math.isfinite(e):
+        raise ValueError("'fstar.exponent' must be a finite number")
+    raw = np.arange(1, kernel.rank + 1, dtype=float) ** -e
+    live = mu > 0
+    raw[~live] = 0.0
+    scale = float(np.sum(raw[live] ** 2 / mu[live]))
+    theta[live] = raw[live] * math.sqrt(hnorm_sq / scale)
+    return theta
 
 
 def _build_pair(template: dict, shift: Optional[float]) -> ShiftPair:
@@ -417,17 +424,13 @@ def figure2(
 
     Each sample size contributes one curve over the part of the B grid it
     supports: cells with B > n^(2/3) fall outside the hard-pair validity
-    range and are skipped, so smaller-n curves simply end earlier.  A
-    replicate draws the data of ``hard_instance.hard_pair_cell`` and fits
-    only the KRR it reports, one linear solve with no ERM and no
-    eigendecomposition.  The replications of all cells form one list of
-    units for ``map_units`` on every core this process may run on; the rows
-    do not depend on the worker count.
+    range and are skipped, so smaller-n curves simply end earlier.  Cell
+    (ni, bi) runs the replicates of ``hard_instance.hard_pair_runs`` at the
+    seed ``derive_seed(seed, ni, bi)`` and fits only the KRR it reports,
+    one linear solve with no ERM and no eigendecomposition.
     """
     _numbers(n_list, "n_list")
     _numbers(B_grid, "B_grid")
-    if not reps >= 1:  # also rejects NaN
-        raise ValueError("figure2 needs reps >= 1")
     if not all(float(v).is_integer() for v in (*n_list, reps)):
         raise ValueError("figure2 needs whole-number n_list entries and reps")
     if not all(float(n) >= 1 for n in n_list):
@@ -439,19 +442,9 @@ def figure2(
              if within_hard_range(int(n), B)]
     if not cells:
         raise ValueError("figure2 needs an (n, B) cell with B <= n^(2/3)")
-    cores = [hard_pair_cell(n, B, sigma_sq=sigma_sq, D=D, seed=s) for n, B, s in cells]
-
-    def krr_hnorm_sq(k: int, rep: int) -> float:
-        core_of, lam = cores[k]
-        return hilbert_norm_sq(core_of(rep).fit_ridge(lam))
-
-    norms = map_units(lambda unit: krr_hnorm_sq(*unit),
-                      [(k, rep) for k in range(len(cells)) for rep in range(reps)])
-    rows = []
-    for k, (n, B, _) in enumerate(cells):
-        med = _median(norms[k * reps:(k + 1) * reps])
-        rows.append([n, B, med, reps])
-    return rows
+    runs = hard_pair_runs(cells, reps, lambda core, lam: hilbert_norm_sq(core.fit_ridge(lam)),
+                          sigma_sq, D)
+    return [[n, B, _median(norms), reps] for (n, B, _), norms in zip(cells, runs)]
 
 
 FAILURE_HEADER = ("rep", "n", "B", "erm_risk", "krr_risk", "krr_hnorm_sq", "theta1_erm")

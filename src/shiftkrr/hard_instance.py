@@ -10,8 +10,8 @@ with theta* = e_1 and mu_j = j^(-2).  In the coordinates that whiten the
 ellipsoid the tail minimization is the ball-constrained quadratic that the
 constrained ERM also solves, so g and the dual of the tail subproblem both
 come from ``estimators.ball_quadratic_min``.  The module also provides the
-eta-sum statistics controlling the dual value, and a Monte Carlo routine
-that fits constrained ERM against KRR on sampled instances of the hard pair.
+eta-sum statistics controlling the dual value, and ``hard_pair_runs``, the
+one replicate driver of the ERM-vs-KRR comparison and of Figure 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -271,46 +271,54 @@ def within_hard_range(n: int, B: float) -> bool:
     return B <= n ** (2.0 / 3.0) + 1e-9
 
 
-def hard_pair_cell(
-    n: int,
-    B: float,
+def hard_pair_runs(
+    cells: Sequence[tuple[int, float, int]],
+    reps: int,
+    fit: Callable[[RidgeCore, float], object],
     sigma_sq: float = 1.0,
     D: Optional[int] = None,
-    seed: int = 0,
-) -> tuple[Callable[[int], RidgeCore], float]:
-    """Check one (n, B) cell of the hard pair; return its replicate cores and KRR level.
+) -> list[list]:
+    """``fit(core, lam)`` on ``reps`` replicates of each hard-pair cell (n, B, seed), cell by cell.
 
-    The first value maps rep to the ``RidgeCore`` of replication rep: n
-    source points of the hard hypercube pair, drawn from the stream
+    Replicate rep of a cell is the ``RidgeCore`` of n source points of the
+    hard hypercube pair, drawn from the stream
     ``rng_for(derive_seed(seed, rep), 1)``, covariates first and then the
     N(0, sigma^2) noise e of the responses y = x_1 + e.  The core is
     ``hypercube_ridge_core`` at theta* = e_1, built from x^T x and
     x^T y = (x^T x) e_1 + x^T e, so no replicate holds an n x D array; the
-    product with e_1 is the first column of x^T x bit for bit.  A
-    core depends on (seed, rep) alone, so replications can run in any
-    order and on any worker.  The second value is the prescribed ridge level
+    product with e_1 is the first column of x^T x bit for bit.  lam is
     ``krr_lambda_rule(n, B)``.  The ambient dimension defaults to
     min(n, 512); coordinates beyond 512 carry under 0.2% of the trace.
+    Every cell is checked before anything is drawn.  The (cell, rep) units
+    of all cells then run through one ``map_units`` call on every core this
+    process may run on; a unit depends on (seed, rep) alone, so the results
+    do not depend on the worker count.
     """
-    if n < 1:  # before n^(2/3), which is complex for n < 0
-        raise ValueError("n must be >= 1")
-    if not (1.0 <= B and within_hard_range(n, B)):
-        raise ValueError("B must lie in [1, n^(2/3)]")
-    if not 0 <= sigma_sq < math.inf:  # also rejects NaN
-        raise ValueError("simulate_failure needs a finite sigma_sq >= 0")
-    if D is None:
-        D = min(n, 512)
-    if D > n:
-        raise ValueError("D must not exceed n")
-    kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=D)
+    if not reps >= 1:  # each guard also rejects NaN
+        raise ValueError("reps must be >= 1")
+    if not 0 <= sigma_sq < math.inf:
+        raise ValueError("sigma_sq must be finite and >= 0")
+    for n, B, _ in cells:
+        if n < 1:  # before n^(2/3), which is complex for n < 0
+            raise ValueError("n must be >= 1")
+        if not (1.0 <= B and within_hard_range(n, B)):
+            raise ValueError("B must lie in [1, n^(2/3)]")
+        if D is not None and D > n:
+            raise ValueError("D must not exceed n")
     sigma = math.sqrt(sigma_sq)
-    e1 = np.eye(1, D)[0]
+    setups = []
+    for n, B, seed in cells:
+        d = min(n, 512) if D is None else D
+        kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=d)
+        setups.append((kernel, np.eye(1, d)[0], n, d, B, seed, krr_lambda_rule(n, B)))
 
-    def core(rep: int) -> RidgeCore:
-        return hypercube_ridge_core(kernel, e1, n, D, B, sigma,
-                                    rng_for(derive_seed(seed, rep), 1))
+    def unit(setup_rep):
+        (kernel, e1, n, d, B, seed, lam), rep = setup_rep
+        return fit(hypercube_ridge_core(kernel, e1, n, d, B, sigma,
+                                        rng_for(derive_seed(seed, rep), 1)), lam)
 
-    return core, krr_lambda_rule(n, B)
+    out = map_units(unit, [(setup, rep) for setup in setups for rep in range(reps)])
+    return [out[k * reps:(k + 1) * reps] for k in range(len(cells))]
 
 
 def simulate_failure(
@@ -321,37 +329,21 @@ def simulate_failure(
     reps: int = 20,
     seed: int = 0,
 ) -> list[FailureRecord]:
-    """Fit constrained ERM and KRR on sampled hard instances.
+    """Fit constrained ERM and KRR on the replicates of the hard-pair cell (n, B, seed).
 
-    Each replication draws n source points from the hard hypercube pair
-    with f* = phi_1 and N(0, sigma^2) noise, fits (a) the empirical risk
-    minimizer over the unit Hilbert ball and (b) KRR at
-    lambda = 4^(2/3) n^(-2/3) B^(-1/3), both from one ``RidgeCore`` (one
-    Gram matrix and one eigendecomposition per replication, which ERM
-    needs and KRR reuses), and records exact coordinate risks and the KRR
-    Hilbert norm.  The ambient dimension defaults to min(n, 512);
-    coordinates beyond 512 carry under 0.2% of the trace.  Replications
-    run through ``map_units`` on every core this process may run on; the
-    records do not depend on the worker count.
+    Each replicate of ``hard_pair_runs``, with f* = phi_1, fits (a) the
+    empirical risk minimizer over the unit Hilbert ball and (b) KRR at
+    lambda = 4^(2/3) n^(-2/3) B^(-1/3), both from its one ``RidgeCore``
+    (one Gram matrix and one eigendecomposition, which ERM needs and KRR
+    reuses), and records exact coordinate risks and the KRR Hilbert norm.
     """
-    if not reps >= 1:  # also rejects NaN
-        raise ValueError("simulate_failure needs reps >= 1")
-    core_of, lam = hard_pair_cell(n, B, sigma_sq=sigma_sq, D=D, seed=seed)
 
-    def replicate(rep: int) -> FailureRecord:
-        core = core_of(rep)
+    def erm_and_krr(core: RidgeCore, lam: float) -> tuple[float, float, float, float]:
         erm = core.fit_constrained(1.0)  # decomposes G; KRR reads its solve off the spectrum
         krr = core.fit_ridge(lam)
-        theta_star = np.zeros(core.kernel.rank)
-        theta_star[0] = 1.0
-        return FailureRecord(
-            rep=rep,
-            n=n,
-            B=float(B),
-            erm_risk=l2q_error(erm, theta_star, exact_mode=True),
-            krr_risk=l2q_error(krr, theta_star, exact_mode=True),
-            krr_hnorm_sq=hilbert_norm_sq(krr),
-            theta1_erm=float(erm.theta[0]),
-        )
+        # theta* = e_1: exact mode pads the coordinates (1,) with zeros
+        return (l2q_error(erm, (1.0,), exact_mode=True), l2q_error(krr, (1.0,), exact_mode=True),
+                hilbert_norm_sq(krr), float(erm.theta[0]))
 
-    return map_units(replicate, range(reps))
+    runs, = hard_pair_runs([(n, B, seed)], reps, erm_and_krr, sigma_sq, D)
+    return [FailureRecord(rep, n, float(B), *values) for rep, values in enumerate(runs)]

@@ -533,6 +533,7 @@ class EigenKernel:
     def from_json(cls, obj) -> "EigenKernel":
         if not isinstance(obj["eigs"], dict):
             raise ValueError("config needs a JSON object under 'eigs'")
+        refuse_unread_keys(obj, {"eigs", "eigenfunctions", "rank", "kappa_sq"}, "a 'kernel'")
         return cls(
             EigenSequence.from_json(obj["eigs"]),
             obj.get("eigenfunctions", "hypercube"),

@@ -129,6 +129,18 @@ MALFORMED = [
     # eigs and lambda_rule objects refuse keys their kind does not read
     ("lambda-star", {"eigs": {**POLY, "jmax": 10}}, {}),
     ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "poly", "alpha": 1, "B": 64}}, {}),
+    # kernel and fstar objects refuse keys they do not read
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "rnak": 4}}, {}),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "spread", "j": 3}}, {}),
+    ("fit", {"kernel": {**KERNEL, "rnak": 2}, "data": "d.csv"}, {"d.csv": DATA}),
+    # a spread f* needs a finite exponent
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "spread", "exponent": float("nan")}}, {}),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "spread", "exponent": "inf"}}, {}),
+    # integer keys refuse booleans
+    ("erm-failure", {"n": 60, "B": 2.0, "reps": True}, {}),
+    ("figure2", {"n_list": [60], "B_grid": [2.0], "reps": True}, {}),
+    ("simulate-risk", {**SWEEP, "reps": True}, {}),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "phi", "j": True}}, {}),
 ]
 
 # (subcommand, config, the key its error names): each key is one the object's kind does not read
@@ -147,6 +159,11 @@ UNREAD_KEYS = [
      "tau_sq"),
     ("simulate-risk", {**SWEEP, "pair": {"family": "gaussian_scale", "tau_sq": 0.9, "D": 4},
                        "shift_grid": [0.9]}, "D"),
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "rnak": 4}}, "rnak"),
+    ("fit", {"kernel": {**KERNEL, "rnak": 2}, "data": "d.csv"}, "rnak"),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "spread", "j": 3}}, "j"),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "phi", "exponent": 1.0}}, "exponent"),
+    ("simulate-risk", {**SWEEP, "fstar": {"j": 2, "exponent": 1.0}}, "exponent"),
 ]
 
 
@@ -194,6 +211,9 @@ def test_a_key_the_object_does_not_read_exits_2_naming_it(tmp_path, monkeypatch,
     ("simulate-risk", {**{k: v for k, v in SWEEP.items() if k != "shift_grid"},
                        "pair": {"family": "gaussian_scale", "tau_sq": 0.9},
                        "kernel": {"eigs": POLY, "eigenfunctions": "hermite", "rank": 4}}),
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "kappa_sq": 2.0}}),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "phi", "j": 2}}),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "spread", "exponent": 1.5}}),
 ])
 def test_every_key_an_object_reads_is_accepted(tmp_path, monkeypatch, cmd, cfg):
     assert run(tmp_path, monkeypatch, [cmd], cfg) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from shiftkrr.experiments import (
 )
 from shiftkrr.bounds import lambda_star
 from shiftkrr.estimators import FactorizationError
+from shiftkrr.hard_instance import simulate_failure
+from shiftkrr.seeding import derive_seed
 from shiftkrr.spectrum import EigenKernel, EigenSequence, default_grid
 
 HYPERCUBE_CFG = {
@@ -268,6 +271,17 @@ def test_figure2_skips_cells_beyond_validity():
     # B = 256 exceeds 400^(2/3) = 54.3, so the n = 400 curve ends earlier
     rows = figure2(n_list=[400], B_grid=[8.0, 256.0], reps=1, seed=2)
     assert [r[:2] for r in rows] == [[400, 8.0]]
+
+
+def test_figure2_and_erm_failure_share_one_replicate():
+    # figure2 solves G + n lam I; simulate_failure reads the same solve off the spectrum
+    n_list, B_grid = [300, 600], [4.0, 16.0]
+    rows = figure2(n_list=n_list, B_grid=B_grid, reps=3, seed=5, sigma_sq=0.5)
+    for (ni, n), (bi, B) in itertools.product(enumerate(n_list), enumerate(B_grid)):
+        recs = simulate_failure(n, B, sigma_sq=0.5, reps=3, seed=derive_seed(5, ni, bi))
+        n_row, B_row, med, reps = rows[ni * len(B_grid) + bi]
+        assert (n_row, B_row, reps) == (n, B, 3)
+        assert med == pytest.approx(np.median([r.krr_hnorm_sq for r in recs]), rel=1e-12)
 
 
 def test_fit_rate_slope_rejects_a_zero_median_risk():

@@ -12,7 +12,6 @@ from shiftkrr.hard_instance import (
     eta_sums,
     g_dual_tail,
     g_primal,
-    hard_pair_cell,
     krr_lambda_rule,
     simulate_failure,
 )
@@ -242,7 +241,7 @@ def test_simulate_failure_validation():
 @pytest.mark.parametrize("n", [0, -8])
 def test_sample_size_below_one_is_refused_by_name(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        hard_pair_cell(n, 1.0)
+        simulate_failure(n, 1.0)
     with pytest.raises(ValueError, match="n must be >= 1"):
         HardInstanceState.from_sample(n, 4.0, 1.0, 5, 1)
     with pytest.raises(ValueError, match="n must be >= 1"):
