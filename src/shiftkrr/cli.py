@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, experiments, hard_instance, spectrum
-from .errors import ConfigError, NumericalFailure, whole_number
+from .errors import ConfigError, NumericalFailure, real_number, whole_number
 from .estimators import fit_krr, fit_reweighted_krr
 from .seeding import one_blas_thread
 from .shifts import Dataset
@@ -43,7 +43,7 @@ from .spectrum import EigenKernel, EigenSequence, default_grid
 
 
 def _float(cfg: dict, key: str, default: float) -> float:
-    value = float(cfg.get(key, default))
+    value = real_number(cfg.get(key, default), key)
     if not np.isfinite(value):
         raise ConfigError(f"'{key}' must be a finite number")
     return value
@@ -80,8 +80,8 @@ def _grid_from(cfg: dict) -> np.ndarray:
     g = cfg.get("grid")
     if g is None or isinstance(g, dict):
         g = g or {}
-        grid = default_grid(float(g.get("lo", spectrum.DEFAULT_GRID_MIN)),
-                            float(g.get("hi", spectrum.DEFAULT_GRID_MAX)),
+        grid = default_grid(real_number(g.get("lo", spectrum.DEFAULT_GRID_MIN), "grid.lo"),
+                            real_number(g.get("hi", spectrum.DEFAULT_GRID_MAX), "grid.hi"),
                             _int(g, "points", spectrum.DEFAULT_GRID_POINTS))
     else:
         grid = np.asarray(g, dtype=float)

@@ -1,4 +1,4 @@
-"""The error types the CLI maps to exit codes, and the integer-key and unread-key checks.
+"""The error types the CLI maps to exit codes, and the number-key and unread-key checks.
 
 ``ConfigError`` (a ``ValueError``, like every refusal of input) exits 2.
 Every ``NumericalFailure`` exits 3: a well-formed computation that has no
@@ -12,6 +12,13 @@ def whole_number(value, key: str) -> int:
     if isinstance(value, bool) or not float(value).is_integer():
         raise ValueError(f"'{key}' must be a whole number")
     return int(value)
+
+
+def real_number(value, key: str) -> float:
+    """``value`` as a float, as ``float`` reads it; a boolean raises a ValueError naming ``key``."""
+    if isinstance(value, bool):
+        raise ValueError(f"'{key}' must be a number")
+    return float(value)
 
 
 class ConfigError(ValueError):

@@ -133,6 +133,20 @@ def ball_quadratic_min(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.
     raise ProjectionError("constraint projection failed")
 
 
+def psd_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, U) with A = U diag(s) U^T for symmetric A, s clipped at 0.
+
+    The decomposition runs on one BLAS thread, so its bytes do not depend
+    on the caller's thread count; a LAPACK failure is a FactorizationError.
+    """
+    try:
+        with one_blas_thread():
+            s, U = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as err:
+        raise FactorizationError(f"factorization failed: {err}") from err
+    return np.clip(s, 0.0, None), U
+
+
 class RidgeCore:
     """Ridge statistics of one dataset, shared by every fit on it.
 
@@ -193,18 +207,9 @@ class RidgeCore:
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s, U) with G = U diag(s) U^T and s clipped at 0, computed once.
-
-        The eigendecomposition runs on one BLAS thread, so its bytes do
-        not depend on the caller's thread count.
-        """
+        """(s, U) with G = U diag(s) U^T and s clipped at 0, computed once by ``psd_eigh``."""
         if self._spectrum is None:
-            try:
-                with one_blas_thread():
-                    s, U = np.linalg.eigh(self.G)
-            except np.linalg.LinAlgError as err:
-                raise FactorizationError(f"factorization failed: {err}") from err
-            self._spectrum = (np.clip(s, 0.0, None), U)
+            self._spectrum = psd_eigh(self.G)
         return self._spectrum
 
     def _solve(self, nlam: float, rhs: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ from .bounds import (
     lambda_rule_poly,
     reweighted_rate,
 )
-from .errors import FactorizationError, ProjectionError, refuse_unread_keys, whole_number
+from .errors import (FactorizationError, ProjectionError, real_number, refuse_unread_keys,
+                     whole_number)
 from .estimators import (
     FittedModel,
     fit_constrained_erm,
@@ -114,6 +115,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not all(float(v).is_integer() for v in self.n_list):
             raise ValueError("n_list entries must be whole numbers")
+        for name in ("sigma_sq", "hnorm_sq", "radius", "truncation_scale"):
+            setattr(self, name, real_number(getattr(self, name), name))
         for name in ("radius", "truncation_scale"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and positive")
@@ -180,7 +183,7 @@ def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.nd
             raise ValueError("fstar index outside the kernel rank")
         theta[j - 1] = math.sqrt(hnorm_sq * mu[j - 1])
         return theta
-    e = float(spec.get("exponent", 1.25))
+    e = real_number(spec.get("exponent", 1.25), "fstar.exponent")
     if not math.isfinite(e):
         raise ValueError("'fstar.exponent' must be a finite number")
     raw = np.arange(1, kernel.rank + 1, dtype=float) ** -e
@@ -214,19 +217,20 @@ def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
         raise ValueError(f"unknown lambda rule {name!r}")
     refuse_unread_keys(rule, _LAMBDA_RULE_KEYS[name], f"lambda rule {name!r}")
     if name == "fixed":
-        return float(rule["value"])
+        return real_number(rule["value"], "lambda_rule.value")
     if name == "finite_rank":
         D = int(np.count_nonzero(kernel.mu))
         return lambda_rule_finite_rank(sigma_sq, D, n)
     if name == "poly":
-        alpha = float(rule.get("alpha", kernel.eigs.alpha or 1.0))
+        alpha = real_number(rule.get("alpha", kernel.eigs.alpha or 1.0), "lambda_rule.alpha")
         if pair.declared_B is None:
             raise ValueError("poly lambda rule needs a B-bounded pair")
         return lambda_rule_poly(alpha, pair.declared_B, sigma_sq, n)
     v_sq = pair.declared_V_sq  # the reweighted rule
-    c = float(rule.get("c", 1.0))
+    c = real_number(rule.get("c", 1.0), "lambda_rule.c")
     if "alpha" in rule:
-        return reweighted_rate("poly", v_sq, sigma_sq, n, c, alpha=float(rule["alpha"]))
+        return reweighted_rate("poly", v_sq, sigma_sq, n, c,
+                               alpha=real_number(rule["alpha"], "lambda_rule.alpha"))
     D = int(np.count_nonzero(kernel.mu))
     return reweighted_rate("finite_rank", v_sq, sigma_sq, n, c, D=D)
 

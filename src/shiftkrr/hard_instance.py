@@ -6,12 +6,15 @@ governed by a one-dimensional separation objective
     g(t) = inf { q (theta - theta*)^T Cov (theta - theta*) - 2 v^T (theta - theta*)
                  : sum_j theta_j^2 / mu_j <= 1, theta_1 = t },
 
-with theta* = e_1 and mu_j = j^(-2).  In the coordinates that whiten the
-ellipsoid the tail minimization is the ball-constrained quadratic that the
-constrained ERM also solves, so g and the dual of the tail subproblem both
-come from ``estimators.ball_quadratic_min``.  The module also provides the
-eta-sum statistics controlling the dual value, and ``hard_pair_runs``, the
-one replicate driver of the ERM-vs-KRR comparison and of Figure 2.
+with theta* = e_1 and mu_j = j^(-2).  On a sample's own moments (q = 1),
+g is ERM's objective less the noise energy, restricted to theta_1 = t, and
+``g_primal`` reads it off the ``RidgeCore`` that ERM fits from.  In the
+coordinates that whiten the ellipsoid the tail minimization is the
+ball-constrained quadratic that ERM also solves, so g and the dual of the
+tail subproblem both come from ``estimators.ball_quadratic_min``.  The
+module also provides the eta-sum statistics controlling the dual value,
+and ``hard_pair_runs``, the one replicate driver of the ERM-vs-KRR
+comparison and of Figure 2.
 """
 
 from __future__ import annotations
@@ -24,75 +27,53 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error
-from .seeding import derive_seed, map_units, one_blas_thread, rng_for
+from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error, psd_eigh
+from .seeding import derive_seed, map_units, rng_for
 from .shifts import HYPERCUBE_BLOCK_ROWS, _hard_pair_blocks
 from .spectrum import EigenKernel, EigenSequence
 
 
+def hard_pair_kernel(D: int) -> EigenKernel:
+    """The hard pair's kernel: mu_j = j^(-2) and hypercube features x_j for j = 1..D."""
+    return EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=D)
+
+
 @dataclass(frozen=True)
 class HardInstanceState:
-    """Empirical second-order data of one sampled hard instance.
+    """The ``RidgeCore`` of one hard instance at theta* = e_1, which ``g_primal`` reads.
 
-    ``empirical_cov`` is (1/n) sum x_i x_i^T and ``v`` is (1/n) sum w_i x_i;
-    the kernel eigenvalues are mu_j = j^(-2) for j = 1..D and the target
-    coefficient vector is theta* = e_1.
+    The kernel is ``hard_pair_kernel(D)``.  On n points x with noise w the
+    core holds G = M^(1/2) x^T x M^(1/2) and c = G e_1 + M^(1/2) x^T w, so
+    with mu_1 = 1 the empirical covariance is Cov = M^(-1/2) G M^(-1/2) / n
+    and v = (1/n) sum w_i x_i is M^(-1/2) (c - G e_1) / n.
     """
 
-    D: int
-    empirical_cov: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.empirical_cov, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if cov.shape != (self.D, self.D):
-            raise ValueError("empirical_cov must be D x D")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ValueError("empirical_cov must be symmetric")
-        if v.shape != (self.D,):
-            raise ValueError("v must have length D")
-        object.__setattr__(self, "empirical_cov", cov)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return np.arange(1, self.D + 1, dtype=float) ** -2.0
+    core: RidgeCore
 
     @cached_property
-    def whitened_tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenpairs (s, E) of M_R^(1/2) Cov_RR M_R^(1/2) over j >= 2, and M_R^(1/2).
-
-        The block does not depend on the slice t, so ``g_primal`` reuses
-        one eigendecomposition per state for every t and quad_coeff, on one
-        BLAS thread, where it neither stalls nor depends on the thread count.
-        """
-        ms = np.sqrt(self.mu[1:])
-        A = (self.empirical_cov[1:, 1:] * ms).T * ms
-        with one_blas_thread():
-            s, E = np.linalg.eigh((A + A.T) / 2.0)
-        return s, E, ms
+    def whitened_tail(self) -> tuple[np.ndarray, np.ndarray]:
+        """``psd_eigh`` of the whitened covariance block G[1:, 1:] / n, for every t and q."""
+        return psd_eigh(self.core.G[1:, 1:] / self.core.n)
 
     @classmethod
     def population(cls, D: int, B: float, v: Optional[np.ndarray] = None) -> "HardInstanceState":
-        """State with the population covariance diag(1/B, 1, ..., 1)."""
+        """State with the population covariance diag(1/B, 1, ..., 1) and v (zero by default)."""
+        v = np.zeros(D) if v is None else np.asarray(v, dtype=float)
+        if v.shape != (D,):
+            raise ValueError("v must have length D")
         cov = np.eye(D)
         cov[0, 0] = 1.0 / B
-        return cls(D=D, empirical_cov=cov, v=np.zeros(D) if v is None else v)
+        return cls(RidgeCore.from_moments(hard_pair_kernel(D), 1, cov, cov[:, 0] + v))
 
     @classmethod
     def from_sample(cls, n: int, B: float, sigma_sq: float, D: int, seed: int) -> "HardInstanceState":
-        """Sample n hard-pair source points and collect (cov, v).
+        """The ``hypercube_ridge_core`` of n hard-pair source points at theta* = e_1.
 
-        The points and the N(0, sigma_sq) noise w come from the stream
-        ``rng_for(seed, 17)`` through ``sample_hard_pair_moments``, which
-        returns x^T x and x^T w without forming the n x D sample, so cov
-        equals x^T x / n of the drawn design bit for bit.
+        The points and their N(0, sigma_sq) noise w come from the stream
+        ``rng_for(seed, 17)``; G is the scaled x^T x of the drawn design bit for bit.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        xtx, xtw = sample_hard_pair_moments(n, D, B, math.sqrt(sigma_sq), rng_for(seed, 17))
-        return cls(D=D, empirical_cov=xtx / n, v=xtw / n)
+        return cls(hypercube_ridge_core(hard_pair_kernel(D), np.eye(1, D)[0], n, D, B,
+                                        math.sqrt(sigma_sq), rng_for(seed, 17)))
 
 
 #: rows of each float64 sub-block in the x^T e sum: an eighth of a sign
@@ -196,7 +177,7 @@ def g_primal(
     """Separation objective g(t) on the slice theta_1 = t of the unit ball.
 
     The quadratic part of the objective is quad_coeff times the state's
-    covariance form, so quad_coeff = 1 on a sampled covariance gives the
+    covariance form, so quad_coeff = 1 on a sampled state gives the
     empirical objective, while quad_coeff in {1/2, 3/2} on the population
     state gives the sandwich surrogates.  The tail minimization over the
     ellipsoid is solved exactly as a ball-constrained quadratic in the
@@ -211,17 +192,15 @@ def g_primal(
         # the feasible set collapses to theta = theta*, where both terms vanish
         return 0.0
     q = quad_coeff
-    cov = state.empirical_cov
-    v = state.v
-    const = q * (t - 1.0) ** 2 * cov[0, 0] - 2.0 * v[0] * (t - 1.0)
-    # tail problem min theta_R^T (q Cov_RR) theta_R - 2 b^T theta_R over the
-    # ellipsoid; in u = M^(-1/2) theta_R coordinates the constraint is a ball
-    b = v[1:] - q * (t - 1.0) * cov[1:, 0]
-    s_tail, E, ms = state.whitened_tail
-    a_eig = np.clip(q * s_tail, 0.0, None)
-    bt = E.T @ (ms * b)
+    G, c, n = state.core.G, state.core.c, state.core.n
+    # mu_1 = 1, so n Cov_11 = G_00 and n v_1 = c_0 - G_00
+    const = (q * (t - 1.0) ** 2 * G[0, 0] - 2.0 * (c[0] - G[0, 0]) * (t - 1.0)) / n
+    # the tail in whitened coordinates u: min u^T (q G_RR / n) u - 2 b^T u over ||u||^2 <= 1 - t^2
+    s_tail, E = state.whitened_tail
+    a_eig = q * s_tail
+    bt = E.T @ ((c[1:] - (1.0 + q * (t - 1.0)) * G[1:, 0]) / n)
     u_t, _ = ball_quadratic_min(a_eig, bt, math.sqrt(1.0 - t * t))
-    return float(np.sum(a_eig * u_t**2) - 2.0 * np.sum(bt * u_t)) + const
+    return float(np.sum(a_eig * u_t**2) - 2.0 * np.sum(bt * u_t) + const)
 
 
 def eta_sums(
@@ -309,8 +288,8 @@ def hard_pair_runs(
     setups = []
     for n, B, seed in cells:
         d = min(n, 512) if D is None else D
-        kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), features="hypercube", rank=d)
-        setups.append((kernel, np.eye(1, d)[0], n, d, B, seed, krr_lambda_rule(n, B)))
+        setups.append((hard_pair_kernel(d), np.eye(1, d)[0], n, d, B, seed,
+                       krr_lambda_rule(n, B)))
 
     def unit(setup_rep):
         (kernel, e1, n, d, B, seed, lam), rep = setup_rep

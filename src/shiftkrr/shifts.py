@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import refuse_unread_keys, whole_number
+from .errors import real_number, refuse_unread_keys, whole_number
 from .seeding import rng_for
 
 
@@ -123,10 +123,11 @@ class ShiftPair:
         family = obj["family"]
         if family == "hypercube":
             refuse_unread_keys(obj, {"family", "D", "B"}, "pair family 'hypercube'")
-            return hypercube_hard_pair(whole_number(obj["D"], "D"), float(obj.get("B", 1.0)))
+            return hypercube_hard_pair(whole_number(obj["D"], "D"),
+                                       real_number(obj.get("B", 1.0), "B"))
         if family == "gaussian_scale":
             refuse_unread_keys(obj, {"family", "tau_sq"}, "pair family 'gaussian_scale'")
-            return gaussian_scale_pair(float(obj["tau_sq"]))
+            return gaussian_scale_pair(real_number(obj["tau_sq"], "tau_sq"))
         raise ValueError(f"unknown shift family {family!r}")
 
 

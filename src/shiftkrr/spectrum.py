@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, TruncationExceeded, refuse_unread_keys, whole_number
+from .errors import (NumericalError, TruncationExceeded, real_number, refuse_unread_keys,
+                     whole_number)
 
 DEFAULT_J_MAX = 10**6
 
@@ -96,8 +97,8 @@ class EigenSequence:
                 raise ValueError("poly decay requires alpha > 1/2 for a finite trace")
             if c is None or not 0 < c < math.inf:
                 raise ValueError("poly decay requires a finite scale c > 0")
-            self.alpha = float(alpha)
-            self.c = float(c)
+            self.alpha = real_number(alpha, "alpha")
+            self.c = real_number(c, "c")
             self.values = None
             self.length = self.j_max
             # integral comparison: sum_{j>J} c j^(-2a) <= c J^(1-2a)/(2a-1)
@@ -509,7 +510,8 @@ class EigenKernel:
         if self.rank < 1:
             raise ValueError("kernel rank must be >= 1")
         self.mu = eigs.leading(self.rank)
-        self.kappa_sq = float(np.sum(self.mu) if kappa_sq is None else kappa_sq)
+        self.kappa_sq = (float(np.sum(self.mu)) if kappa_sq is None
+                         else real_number(kappa_sq, "kappa_sq"))
         if not self.kappa_sq > 0:  # also rejects NaN
             raise ValueError("kappa_sq must be positive")
 

@@ -141,6 +141,33 @@ MALFORMED = [
     ("figure2", {"n_list": [60], "B_grid": [2.0], "reps": True}, {}),
     ("simulate-risk", {**SWEEP, "reps": True}, {}),
     ("simulate-risk", {**SWEEP, "fstar": {"kind": "phi", "j": True}}, {}),
+    # number keys refuse booleans too
+    ("erm-failure", {"n": 60, "B": True, "reps": 1}, {}),
+    ("erm-failure", {"n": 60, "B": 2.0, "reps": 1, "sigma_sq": True}, {}),
+    ("bound-curve", {"eigs": POLY, "hnorm_sq": True}, {}),
+    ("fit", {"kernel": KERNEL, "data": "d.csv", "lambda": True}, {"d.csv": DATA}),
+    ("lower-bound", {"eigs": POLY, "c": True}, {}),
+    ("critical-radius", {"eigs": POLY, "V_sq": True}, {}),
+    ("critical-radius", {"eigs": POLY, "c0": True}, {}),
+    ("bound-curve", {"eigs": POLY, "grid": {"lo": True}}, {}),
+    ("bound-curve", {"eigs": POLY, "grid": {"hi": True}}, {}),
+    ("lambda-star", {"eigs": {"kind": "poly", "alpha": True}}, {}),
+    ("lambda-star", {"eigs": {**POLY, "c": True}}, {}),
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "kappa_sq": True}}, {}),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "hypercube", "D": 4, "B": True},
+                       "shift_grid": None}, {}),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "gaussian_scale", "tau_sq": True},
+                       "kernel": {"eigs": POLY, "eigenfunctions": "hermite", "rank": 4},
+                       "shift_grid": None}, {}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "fixed", "value": True}}, {}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "poly", "alpha": True}}, {}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "reweighted", "c": True}}, {}),
+    ("simulate-risk", {**SWEEP, "lambda_rule": {"rule": "reweighted", "alpha": True}}, {}),
+    ("simulate-risk", {**SWEEP, "fstar": {"kind": "spread", "exponent": True}}, {}),
+    ("simulate-risk", {**SWEEP, "sigma_sq": True}, {}),
+    ("simulate-risk", {**SWEEP, "hnorm_sq": True}, {}),
+    ("simulate-risk", {**SWEEP, "radius": True}, {}),
+    ("simulate-risk", {**SWEEP, "truncation_scale": True}, {}),
 ]
 
 # (subcommand, config, the key its error names): each key is one the object's kind does not read

@@ -72,8 +72,12 @@ def test_sampled_state_covariance_is_bit_identical():
     rng = rng_for(seed, 17)
     x = float_design(n, D, B, rng)
     w = rng.normal(0.0, 1.0, size=n)
-    assert np.array_equal(state.empirical_cov, x.T @ x / n)
-    np.testing.assert_allclose(state.v, x.T @ w / n, rtol=1e-12, atol=1e-15)
+    core = state.core
+    root = np.sqrt(core.kernel.mu)
+    assert np.array_equal(core.G, (x.T @ x) * np.outer(root, root))
+    # c - G e_1 = M^(1/2) x^T w
+    np.testing.assert_allclose(core.c - core.G[:, 0], root * (x.T @ w), rtol=1e-12,
+                               atol=1e-15 * n)
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftkrr.errors import FactorizationError, NumericalFailure
 from shiftkrr.estimators import ball_quadratic_min
 from shiftkrr.hard_instance import (
     FailureRecord,
@@ -137,27 +138,29 @@ def test_duality_gap_against_primal_oracle():
         assert dual_val <= primal_val + 1e-6
         assert abs(dual_val - primal_val) <= 1e-4
         # and g_primal agrees once the first-coordinate terms are added back
-        cov = np.eye(D)
-        cov[0, 0] = 1.0 / 4.0
-        st = HardInstanceState(D=D, empirical_cov=cov, v=v)
-        c0 = q * (t - 1.0) ** 2 * cov[0, 0] - 2.0 * v[0] * (t - 1.0)
+        st = HardInstanceState.population(D, 4.0, v=v)
+        c0 = q * (t - 1.0) ** 2 / 4.0 - 2.0 * v[0] * (t - 1.0)
         assert g_primal(st, t, quad_coeff=q) == pytest.approx(c0 + primal_val, abs=1e-6)
 
 
 def test_g_primal_on_sampled_covariance_vs_oracle():
     # full (non-diagonal) empirical covariance exercises the general path
     st = HardInstanceState.from_sample(300, 8.0, 1.0, 10, seed=3)
-    rng = rng_for(4)
+    # the empirical covariance and v = (1/n) sum w_i x_i, read back off the core
+    core = st.core
+    mu = core.kernel.mu
+    root = np.sqrt(mu)
+    cov = core.G / np.outer(root, root) / core.n
+    v = (core.c - core.G[:, 0]) / root / core.n
     for t in [0.0, 0.4, 0.85]:
         got = g_primal(st, t, quad_coeff=1.0)
         # oracle: projected gradient on the same quadratic, run cold
-        mu = st.mu
         ms = np.sqrt(mu[1:])
-        A = (st.empirical_cov[1:, 1:] * ms).T * ms
-        b = ms * (st.v[1:] - (t - 1.0) * st.empirical_cov[1:, 0])
+        A = (cov[1:, 1:] * ms).T * ms
+        b = ms * (v[1:] - (t - 1.0) * cov[1:, 0])
         a_eig, E = np.linalg.eigh(A)
         bt = E.T @ b
-        const = (t - 1.0) ** 2 * st.empirical_cov[0, 0] - 2.0 * st.v[0] * (t - 1.0)
+        const = (t - 1.0) ** 2 * cov[0, 0] - 2.0 * v[0] * (t - 1.0)
         oracle = projected_gradient_oracle(np.clip(a_eig, 0, None), bt,
                                            math.sqrt(1 - t * t)) + const
         assert got == pytest.approx(oracle, abs=1e-6)
@@ -262,12 +265,56 @@ def test_simulate_failure_deterministic():
     assert a == b
 
 
-def test_state_validation():
-    with pytest.raises(ValueError):
-        HardInstanceState(D=3, empirical_cov=np.zeros((2, 2)), v=np.zeros(3))
-    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        HardInstanceState(D=2, empirical_cov=asym, v=np.zeros(2))
+def test_population_refuses_v_of_another_length():
+    # cov[:, 0] + v would broadcast a one-element v over all D coordinates
+    for v in ([0.3], np.zeros(4), np.zeros(6), np.zeros((5, 1))):
+        with pytest.raises(ValueError, match="v must have length D"):
+            HardInstanceState.population(5, 4.0, v=v)
+
+
+def test_g_primal_eigh_failure_is_a_factorization_error(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    state = HardInstanceState.from_sample(100, 4.0, 1.0, 8, seed=1)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(FactorizationError, match="factorization failed") as err:
+        g_primal(state, 0.5)
+    assert isinstance(err.value, NumericalFailure)  # the CLI's exit 3
+
+
+@st.composite
+def hard_instances(draw):
+    """(n, B, D, sigma_sq) with 1 <= B <= n^(2/3) and D <= n."""
+    n = draw(st.integers(min_value=20, max_value=4000))
+    B = draw(st.floats(min_value=1.0, max_value=n ** (2.0 / 3.0)))
+    D = draw(st.integers(min_value=2, max_value=min(n, 256)))
+    return n, B, D, draw(st.floats(min_value=0.25, max_value=4.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(instance=hard_instances(), seed=st.integers(0, 2**32 - 1))
+def test_g_at_the_erm_slice_is_the_erm_objective_property(instance, seed):
+    # g on a sample's own moments is ERM's objective less the noise energy,
+    # restricted to theta_1 = t, so ERM's objective is least and equals g at
+    # ERM's theta_1
+    n, B, D, sigma_sq = instance
+    state = HardInstanceState.from_sample(n, B, sigma_sq, D, seed=seed)
+    core = state.core
+    erm = core.fit_constrained(1.0)
+    d = erm.theta / core.sqrt_mu
+    d[0] -= 1.0  # z - e_1, in the whitened coordinates of the core
+    erm_value = (float(d @ core.G @ d) - 2.0 * float((core.c - core.G[:, 0]) @ d)) / n
+    for t in np.linspace(0.0, 1.0, 201):
+        assert erm_value <= g_primal(state, float(t)) + 1e-12
+    theta1 = float(erm.theta[0])
+    # g is defined on [0, 1]; with few points carrying x_1 (n/B small) and
+    # much noise, ERM's theta_1 can be negative
+    if 0.0 <= theta1 <= 1.0:
+        # rounding in c - G e_1 and in z - e_1 enters both sides in proportion
+        # to |z - e_1| (|G| + |c|) / n, small when ERM nearly recovers theta*
+        scale = float(np.linalg.norm(d) * (np.linalg.norm(core.G) + np.linalg.norm(core.c))) / n
+        assert abs(g_primal(state, theta1) - erm_value) <= 1e-12 * scale
 
 
 def test_g_primal_eigendecomposes_once_per_state(monkeypatch):
