@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NumericalError
 from .spectrum import EigenSequence, default_grid, effective_dim
 
 
@@ -55,15 +56,18 @@ def krr_bound(
     variance = 80 sigma^2 B (log n / n) sum_j mu_j / (mu_j + lam B).
     ``lam`` is a number or an array of lambdas, summed in one call of
     ``resolvent_sum``; for an array each field of the report is an array
-    whose entries are the one-lambda reports' floats.
+    whose entries are the one-lambda reports' floats.  A bias, variance or
+    total that is not finite raises ``NumericalError``.
     """
     lams = np.asarray(lam, dtype=float)
     if not (np.all(lams > 0) and 1 <= B < math.inf and n >= 1 and sigma_sq > 0
             and hnorm_sq >= 0):  # also rejects NaN
         raise ValueError("invalid krr_bound arguments")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         bias_sq = 4.0 * lams * B * hnorm_sq
         variance = 80.0 * sigma_sq * B * math.log(n) / n * eigs.resolvent_sum(lams * B)
+        if not np.all(np.isfinite(bias_sq + variance)):  # NaN or inf in either term too
+            raise NumericalError("the KRR bound is not finite at these arguments")
     if lams.ndim == 0:
         return BoundReport(float(lams), float(bias_sq), float(variance))
     return BoundReport(lams, bias_sq, variance)
@@ -154,16 +158,18 @@ def minimax_lower(
 
     Uses the literal effective dimension (which is D + 1 below the last
     nonzero eigenvalue of a rank-D sequence); the infimum is taken over
-    the supplied grid.
+    the supplied grid.  A value that is not finite raises ``NumericalError``.
     """
     if not (B >= 1 and n >= 1 and sigma_sq > 0 and c >= 0):
         raise ValueError("invalid minimax_lower arguments")
     grid = default_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("delta grid must be nonempty")
-    d = effective_dim(eigs, grid)
-    with np.errstate(over="ignore"):
-        return c * float(np.min(grid * grid + sigma_sq * B * d / n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = c * float(np.min(grid * grid + sigma_sq * B * effective_dim(eigs, grid) / n))
+    if not math.isfinite(value):
+        raise NumericalError("the minimax lower bound is not finite at these arguments")
+    return value
 
 
 def reweighted_rate(

@@ -291,13 +291,19 @@ class RidgeCore:
         n = self.n
         s, U = self.spectrum
         ct = U.T @ self.c
+        # c lies in the range of G, so its part on numerically zero eigenvalues is rounding
+        ct[s <= len(s) * np.finfo(float).eps * np.max(s)] = 0.0
         trace_K = float(np.trace(self.G))  # sum_i w_i K(x_i, x_i)
         _, xi = ball_quadratic_min(s / n, ct / n, radius)
         xi_star = max(xi, 1e-10 * trace_K / n, 1e-300)
-        z = ct / (s + n * xi_star)
+        nlam = n * xi_star
+        z = ct / (s + nlam)
         if not np.linalg.norm(z) <= radius * (1.0 + PROJECTION_RTOL):
             raise ProjectionError("constraint projection failed")
-        return self.fit_ridge(xi_star)
+        z = U @ z  # on a full-rank core, fit_ridge(xi_star)'s z bit for bit
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_residual(self.G @ z + nlam * z - self.c, self.c)
+        return self._model(z, xi_star)
 
 
 def _fit_ridge(data: Dataset, kernel: EigenKernel, lam: float, mode: str,
@@ -345,10 +351,11 @@ def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> Fi
     quadratic of ``ball_quadratic_min``, whose multiplier xi is the ridge
     level of the solution.  A multiplier below the floor
     xi_floor = 1e-10 trace(G) / n is raised to it, so the fit is the ridge
-    fit at xi_floor, near the lam -> 0+ ridge limit.  When the ball is
-    slack and G is singular (fewer rows than the rank), rounding in the
-    null space of G is amplified by about 1/(n xi_floor) there.  The fitted
-    Hilbert norm never exceeds the radius by more than relative 1e-6.
+    fit at xi_floor, near the lam -> 0+ ridge limit.  When G is singular
+    (fewer rows than the rank) the fit has no part in its null space, where
+    the rounding of the responses' moments would be amplified by about
+    1/(n xi_floor).  The fitted Hilbert norm never exceeds the radius by
+    more than relative 1e-6.
     """
     return RidgeCore(data, kernel).fit_constrained(radius)
 

@@ -13,8 +13,8 @@ coordinates that whiten the ellipsoid the tail minimization is the
 ball-constrained quadratic that ERM also solves, so g and the dual of the
 tail subproblem both come from ``estimators.ball_quadratic_min``.  The
 module also provides the eta-sum statistics controlling the dual value,
-and ``hard_pair_runs``, the one replicate driver of the ERM-vs-KRR
-comparison and of Figure 2.
+the core of a sample's streamed moments (``shifts.sample_hard_pair_moments``)
+and ``hard_pair_runs``, the replicate driver of ERM vs KRR and Figure 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimators import RidgeCore, ball_quadratic_min, hilbert_norm_sq, l2q_error, psd_eigh
 from .seeding import derive_seed, map_units, rng_for
-from .shifts import HYPERCUBE_BLOCK_ROWS, _hard_pair_blocks
+from .shifts import sample_hard_pair_moments
 from .spectrum import EigenKernel, EigenSequence
 
 
@@ -74,42 +74,6 @@ class HardInstanceState:
         """
         return cls(hypercube_ridge_core(hard_pair_kernel(D), np.eye(1, D)[0], n, D, B,
                                         math.sqrt(sigma_sq), rng_for(seed, 17)))
-
-
-#: rows of each float64 sub-block in the x^T e sum: an eighth of a sign
-#: block, so the sub-block's float64 copy is 1 MiB at D = 512
-_XTE_ROWS = HYPERCUBE_BLOCK_ROWS // 8
-
-
-def sample_hard_pair_moments(
-    n: int, D: int, B: float, sigma: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x^T x, x^T e) in float64 of n hard-pair source points x and N(0, sigma^2) noise e.
-
-    The sample is that of ``shifts.hard_pair_design(n, D, B, rng)``
-    followed by ``rng.normal(0.0, sigma, size=n)`` (no noise draw when
-    sigma = 0), and the generator is left in the state that draw leaves,
-    but no n x D array is formed: the blocks of ``shifts._hard_pair_blocks``
-    are reduced one at a time, so memory is O(HYPERCUBE_BLOCK_ROWS * D + D^2)
-    whatever n is.  A block's float32 Gram, exact since every entry is an
-    integer below 2^24, is added to x^T x, so x^T x equals the float64
-    product bit for bit; its noise enters x^T e in float64 over sub-blocks
-    of ``_XTE_ROWS`` rows.  Unless B = 1 and sigma = 0 the bit generator
-    must be PCG64; any other raises ``TypeError``.
-    """
-    blocks = _hard_pair_blocks(n, D, B, sigma, rng)
-    xtx = np.zeros((D, D))
-    xte = np.zeros(D)
-    sub = np.empty((min(n, _XTE_ROWS), D)) if sigma > 0 else None
-    for a, e in blocks:
-        xtx += a.T @ a
-        if e is not None:
-            for j in range(0, len(a), _XTE_ROWS):
-                blk = sub[:min(_XTE_ROWS, len(a) - j)]
-                np.copyto(blk, a[j:j + len(blk)])
-                xte += e[j:j + len(blk)] @ blk
-        del a  # free this block before the next one is drawn
-    return xtx, xte
 
 
 def hypercube_ridge_core(kernel: EigenKernel, theta_star: np.ndarray, n: int, D: int, B: float,

@@ -12,6 +12,9 @@ Two concrete families cover the regimes of interest:
 
 Ratios are never estimated from data: each pair carries its pointwise
 evaluator plus declared B and/or V^2 constants.
+
+The hypercube pair's samplers fill float64 rows from one block stream,
+which ``sample_hard_pair_moments`` reduces to (x^T x, x^T e) instead.
 """
 
 from __future__ import annotations
@@ -222,15 +225,46 @@ def _hard_pair_blocks(n: int, D: int, B: float, sigma: float, rng: np.random.Gen
     return blocks()
 
 
-def hard_pair_design(n: int, D: int, B: float, rng: np.random.Generator) -> np.ndarray:
-    """n source points of the hard hypercube pair as an int8 array.
+#: rows of each float64 sub-block in the x^T e sum: an eighth of a sign
+#: block, so the sub-block's float64 copy is 1 MiB at D = 512
+_XTE_ROWS = HYPERCUBE_BLOCK_ROWS // 8
 
-    ``hypercube_hard_pair(D, B).sample_source`` is this array as float.
-    It is filled from ``_hard_pair_blocks`` (which draws the mask after
-    the signs, and needs PCG64 for it) one block at a time.
+
+def sample_hard_pair_moments(
+    n: int, D: int, B: float, sigma: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x^T x, x^T e) in float64 of n hard-pair source points x and N(0, sigma^2) noise e.
+
+    The sample is that of ``hypercube_hard_pair(D, B).sample_source(n, rng)``
+    followed by ``rng.normal(0.0, sigma, size=n)`` (no noise draw when
+    sigma = 0), and the generator is left in the state that draw leaves,
+    but no n x D array is formed: the blocks of ``_hard_pair_blocks``
+    are reduced one at a time, so memory is O(HYPERCUBE_BLOCK_ROWS * D + D^2)
+    whatever n is.  A block's float32 Gram, exact since every entry is an
+    integer below 2^24, is added to x^T x, so x^T x equals the float64
+    product bit for bit; its noise enters x^T e in float64 over sub-blocks
+    of ``_XTE_ROWS`` rows.  Unless B = 1 and sigma = 0 the bit generator
+    must be PCG64; any other raises ``TypeError``.
     """
+    blocks = _hard_pair_blocks(n, D, B, sigma, rng)
+    xtx = np.zeros((D, D))
+    xte = np.zeros(D)
+    sub = np.empty((min(n, _XTE_ROWS), D)) if sigma > 0 else None
+    for a, e in blocks:
+        xtx += a.T @ a
+        if e is not None:
+            for j in range(0, len(a), _XTE_ROWS):
+                blk = sub[:min(_XTE_ROWS, len(a) - j)]
+                np.copyto(blk, a[j:j + len(blk)])
+                xte += e[j:j + len(blk)] @ blk
+        del a  # free this block before the next one is drawn
+    return xtx, xte
+
+
+def _hard_pair_rows(n: int, D: int, B: float, rng: np.random.Generator) -> np.ndarray:
+    """n hard-pair source points as one float64 array, filled block by block."""
     blocks = _hard_pair_blocks(n, D, B, 0.0, rng)
-    x = np.empty((n, D), dtype=np.int8)
+    x = np.empty((n, D))
     i = 0
     for a, _ in blocks:
         x[i:i + len(a)] = a
@@ -251,10 +285,10 @@ def hypercube_hard_pair(D: int, B: float) -> ShiftPair:
     _check_hard_pair(D, B)
 
     def source(n: int, rng: np.random.Generator) -> np.ndarray:
-        return hard_pair_design(n, D, B, rng).astype(float)
+        return _hard_pair_rows(n, D, B, rng)
 
     def target(n: int, rng: np.random.Generator) -> np.ndarray:
-        return hard_pair_design(n, D, 1.0, rng).astype(float)
+        return _hard_pair_rows(n, D, 1.0, rng)
 
     def lr(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -487,9 +487,9 @@ class EigenKernel:
         eigenvalue sequence nor the ambient dimension caps it: a polynomial
         sequence with Hermite eigenfunctions raises ValueError without one.
     kappa_sq : float, optional
-        Declared bound on sup_x K(x, x).  Defaults to the sum of the kept
-        eigenvalues mu_1..mu_rank, which is exact for sup-norm-1 families
-        such as the hypercube one.
+        Declared bound on sup_x K(x, x), positive and finite.  Defaults to
+        the sum of the kept eigenvalues mu_1..mu_rank, which is exact for
+        sup-norm-1 families such as the hypercube one.
     """
 
     def __init__(
@@ -514,6 +514,8 @@ class EigenKernel:
                          else real_number(kappa_sq, "kappa_sq"))
         if not self.kappa_sq > 0:  # also rejects NaN
             raise ValueError("kappa_sq must be positive")
+        if not self.kappa_sq < math.inf:
+            raise ValueError("kappa_sq must be finite")
 
     def feature_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._features(X, self.rank)

@@ -168,6 +168,14 @@ MALFORMED = [
     ("simulate-risk", {**SWEEP, "hnorm_sq": True}, {}),
     ("simulate-risk", {**SWEEP, "radius": True}, {}),
     ("simulate-risk", {**SWEEP, "truncation_scale": True}, {}),
+    # a bound that is not finite at well-formed arguments has no answer
+    ("lambda-star", {"eigs": POLY, "sigma_sq": 1e308}, {}),
+    ("lambda-star", {"eigs": {**POLY, "c": 1e308}}, {}),
+    ("bound-curve", {"eigs": POLY, "sigma_sq": 1e308}, {}),
+    ("figure1", {"B_values": [1e308], "grid": [0.1]}, {}),
+    ("lower-bound", {"eigs": POLY, "sigma_sq": 1e308, "B": 1e308}, {}),
+    # a kernel's kappa_sq must be finite
+    ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "kappa_sq": "inf"}}, {}),
 ]
 
 # (subcommand, config, the key its error names): each key is one the object's kind does not read

@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 import shiftkrr
 from shiftkrr.estimators import RidgeCore, fit_krr, fit_reweighted_krr
-from shiftkrr.hard_instance import sample_hard_pair_moments
 from shiftkrr.seeding import rng_for
-from shiftkrr.shifts import Dataset
+from shiftkrr.shifts import Dataset, sample_hard_pair_moments
 from shiftkrr.spectrum import EigenKernel, EigenSequence
 
 

@@ -1,4 +1,4 @@
-"""The streamed hard-pair moments: the sample of the int8 design and its noise,
+"""The streamed hard-pair moments: the source sampler's rows and their noise,
 reduced to (x^T x, x^T e) block by block, with the generator left as the
 design -> mask -> noise draw leaves it."""
 
@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftkrr.hard_instance import sample_hard_pair_moments
 from shiftkrr.seeding import rng_for
-from shiftkrr.shifts import HYPERCUBE_BLOCK_ROWS, hard_pair_design
+from shiftkrr.shifts import HYPERCUBE_BLOCK_ROWS, hypercube_hard_pair, sample_hard_pair_moments
 
 BLOCK = HYPERCUBE_BLOCK_ROWS
 
 
 def drawn_moments(n, D, B, sigma, rng):
     """The moments of the design as an array, then the noise, as drawn before streaming."""
-    x = hard_pair_design(n, D, B, rng).astype(float)
+    x = hypercube_hard_pair(D, B).sample_source(n, rng)
     e = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
     return x.T @ x, x.T @ e, e
 
@@ -73,8 +72,8 @@ def test_other_bit_generators_are_refused(bitgen):
 @pytest.mark.parametrize("draw", [
     lambda rng: sample_hard_pair_moments(-2, 5, 4.0, 0.0, rng),
     lambda rng: sample_hard_pair_moments(-2, 5, 1.0, 1.0, rng),
-    lambda rng: hard_pair_design(-2, 5, 4.0, rng),
-    lambda rng: hard_pair_design(-2, 5, 1.0, rng),
+    lambda rng: hypercube_hard_pair(5, 4.0).sample_source(-2, rng),
+    lambda rng: hypercube_hard_pair(5, 4.0).sample_target(-2, rng),
 ], ids=["moments", "noisy-moments", "design", "signs"])
 def test_negative_n_is_refused_before_the_generator_moves(draw):
     rng = np.random.default_rng(9)
@@ -88,11 +87,12 @@ def test_negative_n_is_refused_before_the_generator_moves(draw):
 @pytest.mark.parametrize("bitgen", [np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
 def test_a_mask_or_noise_needs_pcg64_where_the_signs_do_not(bitgen):
     # the signs alone run on any half-word generator; a mask or a noise draw is refused
-    assert hard_pair_design(3, 2, 1.0, np.random.Generator(bitgen(0))).shape == (3, 2)
+    pair = hypercube_hard_pair(2, 2.0)
+    assert pair.sample_target(3, np.random.Generator(bitgen(0))).shape == (3, 2)
     for B, sigma in ((2.0, 0.0), (1.0, 0.5)):
         rng = np.random.Generator(bitgen(0))
         with pytest.raises(TypeError, match=f"needs PCG64, not {bitgen.__name__}"):
             sample_hard_pair_moments(3, 2, B, sigma, rng)
         np.testing.assert_equal(rng.bit_generator.state, bitgen(0).state)
     with pytest.raises(TypeError, match=bitgen.__name__):
-        hard_pair_design(3, 2, 2.0, np.random.Generator(bitgen(0)))
+        pair.sample_source(3, np.random.Generator(bitgen(0)))

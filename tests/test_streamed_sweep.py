@@ -52,9 +52,7 @@ def sweeps(draw):
         "estimator": estimator,
         "radius": draw(st.floats(0.2, 0.6)),
         "lambda_rule": {"rule": "fixed", "value": draw(st.floats(1e-2, 1.0))},
-        # an ERM fit with fewer rows than 4 x rank may leave the ball slack, and at the
-        # floored multiplier its fit is rounding in the null space of G, on either route
-        "n_list": [draw(st.integers(1 if estimator == "krr" else 4 * rank, 300))],
+        "n_list": [draw(st.integers(1, 300))],
         "shift_grid": [draw(st.floats(1.0, 16.0))],
         "sigma_sq": draw(st.sampled_from([0.0, 1.0])),
         "fstar": fstar,
@@ -86,6 +84,26 @@ def test_streamed_rows_are_the_dataset_rows(cfg):
                            else want.lam)
         assert got.risk == pytest.approx(want.risk, rel=1e-12, abs=1e-12 * scale)
         assert got.hnorm_sq == pytest.approx(want.hnorm_sq, rel=1e-12)
+
+
+def test_erm_below_the_rank_reads_no_rounding_in_the_null_space():
+    # one row, a slack ball and sigma^2 = 0: the floored multiplier would amplify the
+    # rounding of c in the null space of G by about 1/(n xi_floor) on either route
+    cfg = ExperimentConfig.from_json({
+        "pair": {"family": "hypercube", "D": 4},
+        "kernel": {"eigs": {"kind": "poly", "alpha": 1.0}, "eigenfunctions": "hypercube",
+                   "rank": 4},
+        "estimator": "erm", "n_list": [1], "shift_grid": [2.0], "sigma_sq": 0.0,
+        "fstar": {"kind": "spread"}, "reps": 1, "seed": 0})
+    streamed, = run_risk_sweep(cfg)
+    mp = pytest.MonkeyPatch()
+    try:
+        mp.setattr(experiments, "hypercube_ridge_core", dataset_core)
+        row, = run_risk_sweep(cfg)
+    finally:
+        mp.undo()
+    assert streamed.status == row.status == "ok"
+    assert streamed.risk == pytest.approx(row.risk, rel=1e-12)
 
 
 def test_hard_pair_core_is_the_dataset_core_bit_for_bit_in_G():
