@@ -1,20 +1,22 @@
 """Kernel regression estimators: ridge, reweighted ridge, and norm-constrained.
 
-Every fit comes from one core.  ``RidgeCore`` reduces a dataset to its
-weighted ridge statistics in the kernel's eigen-coordinates,
-G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y.  A ridge fit at one
-lam is one linear solve of (G + n lam I) z = c.  Only the norm-constrained
-ERM (through the ball-constrained quadratic ``ball_quadratic_min``) needs
-the spectrum of G, which the core then computes and keeps, so every later
-fit on the same dataset reads its solves off that eigendecomposition.
+Every fit comes from one core.  ``RidgeCore`` holds the weighted ridge
+statistics of n observations in the kernel's eigen-coordinates,
+G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, built from their
+moments alone.  A ridge fit at one lam is one linear solve of
+(G + n lam I) z = c.  Only the norm-constrained ERM (through the
+ball-constrained quadratic ``ball_quadratic_min``) needs the spectrum of
+G, which the core then computes and keeps, so every later fit on the
+same core reads its solves off that eigendecomposition.
 
-Ridge and reweighted ridge also have a ``dual`` mode, with coefficients
-alpha over the training points from the regularized kernel system.  It
-solves that system by the Woodbury identity on the scaled features, each
-inner inverse being the core's ridge solve of G; neither the kernel
-matrix nor any n x n array is formed.  When the rank is at most the
-number of weighted rows, the dual's theta is the primal fit's.  ERM is the
-ridge fit at its multiplier, so every fit passes one stationarity check.
+Ridge and reweighted ridge also have a ``dual`` mode, the one fit that
+reads the rows and not only their moments, with coefficients alpha over
+the training points from the regularized kernel system.  It solves that
+system by the Woodbury identity on the scaled features, each inner
+inverse being the core's ridge solve of G; neither the kernel matrix nor
+any n x n array is formed.  When the rank is at most the number of
+weighted rows, the dual's theta is the primal fit's.  ERM is the ridge
+fit at its multiplier, so every fit passes one stationarity check.
 
 Fitted models always carry their eigen-coordinates, so predictions,
 Hilbert norms, and exact L2(Q) errors are cheap regardless of mode.
@@ -51,7 +53,7 @@ class FittedModel:
     """A fitted regressor over an eigen-expanded kernel.
 
     ``theta`` holds eigen-coordinates of the fit; in dual mode it equals
-    M Phi^T alpha in exact arithmetic (see ``RidgeCore.fit_dual``).
+    M Phi^T alpha in exact arithmetic (see ``_fit_dual``).
     """
 
     mode: str
@@ -148,54 +150,27 @@ def psd_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RidgeCore:
-    """Ridge statistics of one dataset, shared by every fit on it.
+    """Ridge statistics of n observations, shared by every fit on them.
 
     Over the kernel's nonzero eigenvalues M, with raw features F and
-    weights W (unit by default), the dataset reduces to
+    weights W (unit by default), the observations reduce to
     G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and every ridge
-    solution solves (G + n xi I) z(xi) = c, with theta = M^(1/2) z.
-    M^(1/2) is applied after the product, so unweighted data make no
-    n x D copy of the features.  The core keeps W^(1/2) F and W^(1/2) y
-    for the dual.
+    solution solves (G + n xi I) z(xi) = c, with theta = M^(1/2) z.  The
+    core takes the moments F^T W F and F^T W y, F holding the features
+    of the nonzero eigenvalues only, however they were formed: in blocks,
+    or by ``from_dataset`` from a dataset's rows.
 
     Every fit solves with G + n xi I through ``_solve``, which reads
     U diag(1/(s + n xi)) U^T off a spectrum the core already holds and
     otherwise makes one linear solve.  G is decomposed only for the ERM
     multiplier: ``spectrum`` computes G = U diag(s) U^T on first use by
-    ``fit_constrained`` and keeps it.  A ridge or dual fit on a fresh core
+    ``fit_constrained`` and keeps it.  A ridge fit on a fresh core
     therefore makes no eigendecomposition.
     """
 
-    def __init__(self, data: Dataset, kernel: EigenKernel,
-                 weights: Optional[np.ndarray] = None):
-        F = kernel.feature_matrix(data.xs)
-        active = kernel.mu > 0
-        if not np.all(active):
-            F = F[:, active]
-        ys = data.ys
-        self._root_w = None if weights is None else np.sqrt(weights)
-        if weights is not None:
-            F = F * self._root_w[:, None]
-            ys = self._root_w * ys
-        self._F, self._y = F, ys
-        self._reduce(kernel, len(data), F.T @ F, F.T @ ys)
-
-    @classmethod
-    def from_moments(cls, kernel: EigenKernel, n: int, FtWF: np.ndarray,
-                     FtWy: np.ndarray) -> "RidgeCore":
-        """The core of n observations with moments F^T W F and F^T W y.
-
-        F holds the features of the kernel's nonzero eigenvalues only, so
-        callers that form the moments themselves (in blocks, or in another
-        precision) reach the same statistics as the constructor.
-        """
-        core = cls.__new__(cls)
-        core._F = None
-        core._reduce(kernel, n, FtWF, FtWy)
-        return core
-
-    def _reduce(self, kernel: EigenKernel, n: int, FtWF: np.ndarray,
-                FtWy: np.ndarray) -> None:
+    def __init__(self, kernel: EigenKernel, n: int, FtWF: np.ndarray, FtWy: np.ndarray):
+        if not n >= 1:
+            raise ValueError("need at least one observation")
         self.kernel = kernel
         self.n = n
         self.active = kernel.mu > 0
@@ -204,6 +179,13 @@ class RidgeCore:
         self.G = FtWF * np.outer(self.sqrt_mu, self.sqrt_mu)
         self.c = self.sqrt_mu * FtWy
         self._spectrum = None
+
+    @classmethod
+    def from_dataset(cls, data: Dataset, kernel: EigenKernel,
+                     weights: Optional[np.ndarray] = None) -> "RidgeCore":
+        """The core of a dataset, unweighted unless ``weights`` are given."""
+        F, ys, _ = _weighted_rows(data, kernel, weights)
+        return cls(kernel, len(data), F.T @ F, F.T @ ys)
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,45 +227,6 @@ class RidgeCore:
             _check_residual(self.G @ z + nlam * z - self.c, self.c)
         return self._model(z, lam)
 
-    def fit_dual(self, lam: float) -> FittedModel:
-        """The dual fit at level lam, from (W K + n lam I) alpha = W y without K.
-
-        With S = W^(1/2) and Fs = S F M^(1/2), so that G = Fs^T Fs, the
-        system is (Fs Fs^T + n lam I) beta = S y with alpha = S beta.  The
-        Woodbury identity inverts it through the ridge solve of G,
-        (Fs Fs^T + n lam I)^(-1) v = (v - Fs (G + n lam I)^(-1) Fs^T v) / (n lam),
-        and two refinement steps follow; then the residual of the
-        unsymmetric system, S((Fs Fs^T + n lam I) beta - S y), is checked.
-        A zero weight zeroes its row of Fs and of S y, so its alpha is 0.
-        theta = M^(1/2) Fs^T beta = M F^T alpha equals the primal M^(1/2) z
-        in exact arithmetic and is read off the smaller of the two Gram
-        systems, since rounding leaks into each solve through its Gram's
-        null space: into beta as |y_perp| / (n lam), y_perp the part of S y
-        outside the range of Fs, when the weighted rows outnumber the rank,
-        and into z when the rank is the larger.  When the rank is at most
-        the weighted rows, theta is the primal fit's, bit for bit.
-        """
-        if not 0 < lam < math.inf:  # also rejects NaN
-            raise ValueError("lam must be finite and positive")
-        if self._F is None:
-            raise ValueError("a core built from moments has no dual fit")
-        nlam = self.n * lam
-        Fs, rhs = self._F * self.sqrt_mu, self._y
-        root_w = 1.0 if self._root_w is None else self._root_w
-        rows = len(rhs) if self._root_w is None else np.count_nonzero(self._root_w)
-
-        def solve(v):
-            return (v - Fs @ self._solve(nlam, Fs.T @ v)) / nlam
-
-        # a lam small enough to overflow the solve fails the NaN-safe check instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta = solve(rhs)
-            for _ in range(2):
-                beta += solve(rhs - Fs @ (Fs.T @ beta) - nlam * beta)
-            _check_residual(root_w * (Fs @ (Fs.T @ beta) + nlam * beta - rhs), root_w * rhs)
-            z = self._solve(nlam, self.c) if len(self.c) <= rows else Fs.T @ beta
-        return self._model(z, lam, alpha=root_w * beta)
-
     def fit_constrained(self, radius: float) -> FittedModel:
         """ERM over the Hilbert ball (see ``fit_constrained_erm``): the ridge fit at its multiplier."""
         if not radius > 0:  # also rejects NaN
@@ -306,17 +249,69 @@ class RidgeCore:
         return self._model(z, xi_star)
 
 
+def _weighted_rows(data: Dataset, kernel: EigenKernel, weights: Optional[np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """W^(1/2) F over the nonzero eigenvalues, W^(1/2) y, and W^(1/2) (None when W = I)."""
+    F = kernel.feature_matrix(data.xs)
+    active = kernel.mu > 0
+    if not np.all(active):
+        F = F[:, active]
+    ys = data.ys
+    root_w = None if weights is None else np.sqrt(weights)
+    if root_w is not None:
+        F = F * root_w[:, None]
+        ys = root_w * ys
+    return F, ys, root_w
+
+
+def _fit_dual(data: Dataset, kernel: EigenKernel, lam: float,
+              weights: Optional[np.ndarray]) -> FittedModel:
+    """The dual fit at level lam, from (W K + n lam I) alpha = W y without K.
+
+    With S = W^(1/2) and Fs = S F M^(1/2), so that G = Fs^T Fs, the
+    system is (Fs Fs^T + n lam I) beta = S y with alpha = S beta.  The
+    Woodbury identity inverts it through the ridge solve of G,
+    (Fs Fs^T + n lam I)^(-1) v = (v - Fs (G + n lam I)^(-1) Fs^T v) / (n lam),
+    and two refinement steps follow; then the residual of the
+    unsymmetric system, S((Fs Fs^T + n lam I) beta - S y), is checked.
+    A zero weight zeroes its row of Fs and of S y, so its alpha is 0.
+    theta = M^(1/2) Fs^T beta = M F^T alpha equals the primal M^(1/2) z
+    in exact arithmetic and is read off the smaller of the two Gram
+    systems, since rounding leaks into each solve through its Gram's
+    null space: into beta as |y_perp| / (n lam), y_perp the part of S y
+    outside the range of Fs, when the weighted rows outnumber the rank,
+    and into z when the rank is the larger.  When the rank is at most
+    the weighted rows, theta is the primal fit's, bit for bit.
+    """
+    F, rhs, root_w = _weighted_rows(data, kernel, weights)
+    core = RidgeCore(kernel, len(data), F.T @ F, F.T @ rhs)
+    nlam = core.n * lam
+    Fs = F * core.sqrt_mu
+    rows = len(rhs) if root_w is None else np.count_nonzero(root_w)
+    root_w = 1.0 if root_w is None else root_w
+
+    def solve(v):
+        return (v - Fs @ core._solve(nlam, Fs.T @ v)) / nlam
+
+    # a lam small enough to overflow the solve fails the NaN-safe check instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = solve(rhs)
+        for _ in range(2):
+            beta += solve(rhs - Fs @ (Fs.T @ beta) - nlam * beta)
+        _check_residual(root_w * (Fs @ (Fs.T @ beta) + nlam * beta - rhs), root_w * rhs)
+        z = core._solve(nlam, core.c) if len(core.c) <= rows else Fs.T @ beta
+    return core._model(z, lam, alpha=root_w * beta)
+
+
 def _fit_ridge(data: Dataset, kernel: EigenKernel, lam: float, mode: str,
                weights: Optional[np.ndarray]) -> FittedModel:
     """The (weighted) ridge fit of ``fit_krr`` and ``fit_reweighted_krr``."""
     if not 0 < lam < math.inf:  # also rejects NaN
         raise ValueError("lam must be finite and positive")
-    if len(data) < 1:
-        raise ValueError("need at least one observation")
     if mode not in ("dual", "primal"):
         raise ValueError(f"unknown mode {mode!r}")
-    core = RidgeCore(data, kernel, weights)
-    return core.fit_dual(lam) if mode == "dual" else core.fit_ridge(lam)
+    return (_fit_dual(data, kernel, lam, weights) if mode == "dual"
+            else RidgeCore.from_dataset(data, kernel, weights).fit_ridge(lam))
 
 
 def fit_krr(data: Dataset, kernel: EigenKernel, lam: float, mode: str = "dual") -> FittedModel:
@@ -357,7 +352,7 @@ def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> Fi
     1/(n xi_floor).  The fitted Hilbert norm never exceeds the radius by
     more than relative 1e-6.
     """
-    return RidgeCore(data, kernel).fit_constrained(radius)
+    return RidgeCore.from_dataset(data, kernel).fit_constrained(radius)
 
 
 def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:

@@ -82,6 +82,11 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+#: the keys each lambda rule reads
+_LAMBDA_RULE_KEYS = {"fixed": {"rule", "value"}, "finite_rank": {"rule"},
+                     "poly": {"rule", "alpha"}, "reweighted": {"rule", "c", "alpha"}}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one risk sweep."""
@@ -125,6 +130,10 @@ class ExperimentConfig:
         if not all(isinstance(getattr(self, f), dict)
                    for f in ("pair", "kernel", "lambda_rule", "fstar")):
             raise TypeError("pair, kernel, lambda_rule and fstar must be objects")
+        rule = self.lambda_rule.get("rule", "fixed")
+        if rule not in _LAMBDA_RULE_KEYS:
+            raise ValueError(f"unknown lambda rule {rule!r}")
+        refuse_unread_keys(self.lambda_rule, _LAMBDA_RULE_KEYS[rule], f"lambda rule {rule!r}")
         for name, allowed in (("estimator", ("krr", "reweighted", "erm")),
                               ("risk", ("auto", "exact", "mc")),
                               ("weight_rule", ("tau_n", "B", "raw")),
@@ -205,17 +214,10 @@ def _build_pair(template: dict, shift: Optional[float]) -> ShiftPair:
     return ShiftPair.from_json(spec)
 
 
-#: the keys each lambda rule reads
-_LAMBDA_RULE_KEYS = {"fixed": {"rule", "value"}, "finite_rank": {"rule"},
-                     "poly": {"rule", "alpha"}, "reweighted": {"rule", "c", "alpha"}}
-
-
 def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
                     sigma_sq: float) -> float:
+    """The lambda of ``rule``, whose name and keys ``ExperimentConfig`` has checked."""
     name = rule.get("rule", "fixed")
-    if name not in _LAMBDA_RULE_KEYS:
-        raise ValueError(f"unknown lambda rule {name!r}")
-    refuse_unread_keys(rule, _LAMBDA_RULE_KEYS[name], f"lambda rule {name!r}")
     if name == "fixed":
         return real_number(rule["value"], "lambda_rule.value")
     if name == "finite_rank":
@@ -244,12 +246,13 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
 
     Rows are emitted in canonical grid order.  Without a ``shift_grid`` the
     grid is the pair's own B or tau_sq; with one, its entries override the
-    pair's.  Fit failures are recorded
-    per row in the status column rather than aborting the sweep.  Every
-    cell resolves its pair, lambda, risk mode and estimator once, before
-    any replicate runs; the cells then run one after another through
-    ``map_units`` on one worker, inside its one-BLAS-thread scope.  Spreading
-    the cells over both cores of a 2-core machine made the benchmark's
+    pair's.  Fit failures are recorded per row in the status column
+    rather than aborting the sweep.  Every cell resolves its pair, lambda,
+    risk mode and estimator once, before any replicate runs.  ERM does not
+    evaluate the ``lambda_rule``: its rows report the multiplier it fits
+    at, and NaN where it fails.  The cells then run one after another
+    through ``map_units`` on one worker, inside its one-BLAS-thread scope.
+    Spreading the cells over both cores of a 2-core machine made the benchmark's
     ``risk_sweep`` slower, not faster, and raised its peak RSS.
 
     A replicate draws its sample from ``rng_for(seed_r, 1)`` as
@@ -272,9 +275,11 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
         n = int(config.n_list[ni])
         pair = _build_pair(config.pair, shifts[bi])
         b_or_v2 = pair.declared_B if pair.declared_B is not None else pair.declared_V_sq
-        lam = _resolve_lambda(config.lambda_rule, n, pair, kernel, config.sigma_sq)
-        if not 0 < lam < math.inf:  # also rejects NaN
-            raise ValueError(f"lambda must be finite and positive, not {lam!r}")
+        lam = math.nan  # ERM fits at its multiplier, which its ok rows report
+        if config.estimator != "erm":
+            lam = _resolve_lambda(config.lambda_rule, n, pair, kernel, config.sigma_sq)
+            if not 0 < lam < math.inf:  # also rejects NaN
+                raise ValueError(f"lambda must be finite and positive, not {lam!r}")
         exact = config.risk != "mc" and (pair.family, kernel.family) in _EXACT_RISK_FAMILIES
         if config.risk == "exact" and not exact:
             raise ValueError(f"exact risk needs eigenfunctions orthonormal under the target: "

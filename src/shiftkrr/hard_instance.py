@@ -63,7 +63,7 @@ class HardInstanceState:
             raise ValueError("v must have length D")
         cov = np.eye(D)
         cov[0, 0] = 1.0 / B
-        return cls(RidgeCore.from_moments(hard_pair_kernel(D), 1, cov, cov[:, 0] + v))
+        return cls(RidgeCore(hard_pair_kernel(D), 1, cov, cov[:, 0] + v))
 
     @classmethod
     def from_sample(cls, n: int, B: float, sigma_sq: float, D: int, seed: int) -> "HardInstanceState":
@@ -86,9 +86,10 @@ def hypercube_ridge_core(kernel: EigenKernel, theta_star: np.ndarray, n: int, D:
     ``sample_hard_pair_moments`` over all D coordinates, so no n x D array
     is formed; F^T F is x^T x restricted to the first rank coordinates,
     F^T y = (F^T F) theta* + F^T e, and both are then restricted to the
-    kernel's nonzero eigenvalues.  F^T F equals the product of the drawn
-    design bit for bit; F^T y differs from the product with y in rounding
-    only.
+    kernel's nonzero eigenvalues, as ``RidgeCore`` takes them.  F^T F
+    equals the product of the drawn design bit for bit; F^T y differs
+    from the product with y in rounding only.  An n below 1 is refused
+    before ``rng`` moves.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -101,7 +102,7 @@ def hypercube_ridge_core(kernel: EigenKernel, theta_star: np.ndarray, n: int, D:
     active = kernel.mu > 0
     if not np.all(active):
         FtF, Fty = FtF[np.ix_(active, active)], Fty[active]
-    return RidgeCore.from_moments(kernel, n, FtF, Fty)
+    return RidgeCore(kernel, n, FtF, Fty)
 
 
 def g_dual_tail(

@@ -199,6 +199,9 @@ UNREAD_KEYS = [
     ("simulate-risk", {**SWEEP, "fstar": {"kind": "spread", "j": 3}}, "j"),
     ("simulate-risk", {**SWEEP, "fstar": {"kind": "phi", "exponent": 1.0}}, "exponent"),
     ("simulate-risk", {**SWEEP, "fstar": {"j": 2, "exponent": 1.0}}, "exponent"),
+    # an ERM sweep does not evaluate its lambda rule, but the rule's keys are still checked
+    ("simulate-risk", {**SWEEP, "estimator": "erm",
+                       "lambda_rule": {"rule": "poly", "alpha": 1, "B": 64}}, "B"),
 ]
 
 
@@ -252,6 +255,18 @@ def test_a_key_the_object_does_not_read_exits_2_naming_it(tmp_path, monkeypatch,
 ])
 def test_every_key_an_object_reads_is_accepted(tmp_path, monkeypatch, cmd, cfg):
     assert run(tmp_path, monkeypatch, [cmd], cfg) == 0
+
+
+@pytest.mark.parametrize("over", [{"sigma_sq": 0.0}, {"n_list": [1, 8, 50]}],
+                         ids=["sigma_sq-0", "n-1"])
+def test_an_erm_sweep_does_not_evaluate_its_lambda_rule(tmp_path, monkeypatch, over):
+    # the poly rule has no value at sigma_sq = 0 and is 0 at n = 1 (log 1 = 0)
+    cfg = {**SWEEP, "estimator": "erm", "lambda_rule": {"rule": "poly", "alpha": 1.0}, **over}
+    assert run(tmp_path, monkeypatch, ["simulate-risk"], cfg) == 0
+    rows = (tmp_path / "out").read_text().splitlines()[1:]
+    # each row reports the multiplier ERM fitted at
+    assert rows and all(row.endswith(",ok") and 0 < float(row.split(",")[4]) < math.inf
+                        for row in rows)
 
 
 @pytest.mark.parametrize("module,name,bases", [

@@ -112,7 +112,7 @@ def test_constrained_fit_is_the_ridge_fit_at_its_multiplier(seed, radius):
     n, D, B = 400, 32, 8.0
     kernel = EigenKernel(EigenSequence.poly_decay(1.0, 1.0), "hypercube", rank=D)
     xtx, xte = sample_hard_pair_moments(n, D, B, 0.5, rng_for(seed, 1))
-    core = RidgeCore.from_moments(kernel, n, xtx, xtx[:, 0] + xte)
+    core = RidgeCore(kernel, n, xtx, xtx[:, 0] + xte)
     erm = core.fit_constrained(radius)
     ridge = core.fit_ridge(erm.lam)
     assert erm.mode == ridge.mode == "primal"

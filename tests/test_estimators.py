@@ -321,10 +321,29 @@ def test_fit_rejects_bad_inputs():
         fit_krr(data, kernel, 0.1, mode="sideways")
 
 
+_EMPTY = Dataset(np.empty((0, 2)), np.empty(0), np.empty(0))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda k: fit_krr(_EMPTY, k, 0.1, mode="dual"),
+    lambda k: fit_krr(_EMPTY, k, 0.1, mode="primal"),
+    lambda k: fit_reweighted_krr(_EMPTY, k, 0.1, mode="dual"),
+    lambda k: fit_reweighted_krr(_EMPTY, k, 0.1, mode="primal"),
+    lambda k: fit_constrained_erm(_EMPTY, k, 1.0),
+    lambda k: RidgeCore.from_dataset(_EMPTY, k),
+    lambda k: RidgeCore(k, 0, np.zeros((2, 2)), np.zeros(2)),
+], ids=["fit_krr-dual", "fit_krr-primal", "fit_reweighted_krr-dual",
+        "fit_reweighted_krr-primal", "fit_constrained_erm", "from_dataset", "RidgeCore"])
+def test_an_empty_dataset_is_an_input_error(fit):
+    kernel = EigenKernel(EigenSequence.finite_rank([1.0, 0.5]), "hypercube", rank=2)
+    with pytest.raises(ValueError, match="need at least one observation"):
+        fit(kernel)
+
+
 def _guarded_calls():
     kernel, data, rng = random_instance(13)
     weighted = data.with_weights(rng.uniform(0.5, 2.0, size=len(data)))
-    core = RidgeCore(weighted, kernel, weighted.weights)
+    core = RidgeCore.from_dataset(weighted, kernel, weighted.weights)
     fit = dict(data=weighted, kernel=kernel, lam=0.1)
     tail = dict(v_rest=np.full(3, 0.1), mu_rest=np.array([0.25, 0.1, 0.05]), slack=0.5,
                 quad_coeff=0.5)
@@ -335,7 +354,6 @@ def _guarded_calls():
         ("fit_reweighted_krr-primal", fit_reweighted_krr, {**fit, "mode": "primal"}, ["lam"]),
         ("fit_reweighted_krr-dual", fit_reweighted_krr, {**fit, "mode": "dual"}, ["lam"]),
         ("fit_ridge", core.fit_ridge, dict(lam=0.1), ["lam"]),
-        ("fit_dual", core.fit_dual, dict(lam=0.1), ["lam"]),
         ("fit_constrained", core.fit_constrained, dict(radius=1.0), ["radius"]),
         ("fit_constrained_erm", fit_constrained_erm, dict(data=data, kernel=kernel, radius=1.0),
          ["radius"]),

@@ -20,7 +20,7 @@ from shiftkrr.experiments import (
     write_csv,
 )
 from shiftkrr.bounds import lambda_star
-from shiftkrr.estimators import FactorizationError
+from shiftkrr.estimators import FactorizationError, ProjectionError
 from shiftkrr.hard_instance import simulate_failure
 from shiftkrr.seeding import derive_seed
 from shiftkrr.spectrum import EigenKernel, EigenSequence, default_grid
@@ -158,6 +158,17 @@ def test_run_risk_sweep_records_failures(monkeypatch):
     rows = run_risk_sweep(make_config(reps=2))
     assert all(r.status == "factorization failed" for r in rows)
     assert all(math.isnan(r.risk) for r in rows)
+
+
+def test_an_erm_failure_row_writes_no_lambda(monkeypatch):
+    def boom(*args, **kwargs):
+        raise ProjectionError("constraint projection failed")
+
+    # ERM never evaluates the lambda rule, so a failed fit has no lambda to report
+    monkeypatch.setattr(estimators.RidgeCore, "fit_constrained", boom)
+    rows = run_risk_sweep(make_config(estimator="erm", reps=2))
+    assert all(r.status == "constraint projection failed" for r in rows)
+    assert all(math.isnan(r.lam) and math.isnan(r.risk) for r in rows)
 
 
 def test_a_pairs_own_shift_is_the_grid_without_a_shift_grid():

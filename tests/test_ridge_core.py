@@ -54,7 +54,7 @@ def normal_equations_theta(kernel, data, lam):
 def test_core_dual_and_reweighted_agree_property(instance):
     kernel, data, lam, noisy = instance
     weighted = data if data.weights is not None else data.with_weights(np.ones(len(data)))
-    core = RidgeCore(data, kernel, data.weights).fit_ridge(lam)
+    core = RidgeCore.from_dataset(data, kernel, data.weights).fit_ridge(lam)
     oracle = normal_equations_theta(kernel, data, lam)
     tol = 1e-9 * np.linalg.norm(oracle)
     assert np.linalg.norm(core.theta - oracle) <= tol
@@ -149,6 +149,7 @@ def test_noisy_dual_reads_theta_off_the_primal_system(seed, lam):
     xs = rng.integers(0, 2, size=(n, D)).astype(float) * 2 - 1
     ys = xs @ rng.normal(size=D) + rng.normal(size=n)
     w = rng.uniform(0.1, 3.0, size=n)
-    core = RidgeCore(Dataset(xs, ys, w), kernel, w)
-    primal = core.fit_ridge(lam).theta
-    assert np.linalg.norm(core.fit_dual(lam).theta - primal) <= 1e-9 * np.linalg.norm(primal)
+    data = Dataset(xs, ys, w)
+    primal = RidgeCore.from_dataset(data, kernel, w).fit_ridge(lam).theta
+    dual = fit_reweighted_krr(data, kernel, lam, mode="dual").theta
+    assert np.linalg.norm(dual - primal) <= 1e-9 * np.linalg.norm(primal)

@@ -37,8 +37,8 @@ def ridge_systems(draw):
 @given(system=ridge_systems())
 def test_solve_and_spectrum_routes_pass_the_check_and_agree_property(system):
     kernel, data, lam = system
-    solved = RidgeCore(data, kernel, data.weights)
-    spectral = RidgeCore(data, kernel, data.weights)
+    solved = RidgeCore.from_dataset(data, kernel, data.weights)
+    spectral = RidgeCore.from_dataset(data, kernel, data.weights)
     spectral.spectrum  # a core that holds its spectrum reads z off it
     # each fit raises FactorizationError unless it passes the 1e-8 stationarity check
     a = solved.fit_ridge(lam).theta
@@ -55,11 +55,12 @@ def test_dual_theta_is_the_primal_theta_property(system):
     kernel, data, lam = system
     rows = len(data) if data.weights is None else np.count_nonzero(data.weights)
     assume(kernel.rank <= rows)
+    fit = fit_krr if data.weights is None else fit_reweighted_krr
     try:
-        dual = RidgeCore(data, kernel, data.weights).fit_dual(lam)
+        dual = fit(data, kernel, lam, mode="dual")
     except FactorizationError:
         reject()  # the dual's own check refused beta; there is no theta to compare
-    primal = RidgeCore(data, kernel, data.weights).fit_ridge(lam)
+    primal = RidgeCore.from_dataset(data, kernel, data.weights).fit_ridge(lam)
     assert np.array_equal(dual.theta, primal.theta)
 
 
@@ -100,8 +101,7 @@ def test_fits_that_need_the_spectrum_decompose_once_per_core(eigh_calls):
     kernel, data = hypercube_data()
     fit_constrained_erm(data, kernel, 1.0)
     assert len(eigh_calls) == 1
-    core = RidgeCore(data, kernel)
+    core = RidgeCore.from_dataset(data, kernel)
     core.fit_constrained(1.0)
     core.fit_ridge(0.1)
-    core.fit_dual(0.1)
     assert len(eigh_calls) == 2

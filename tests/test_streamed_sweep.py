@@ -25,7 +25,7 @@ def dataset_core(kernel, theta_star, n, D, B, sigma, rng):
     ys = kernel.feature_matrix(xs) @ theta_star
     if sigma > 0:
         ys = ys + rng.normal(0.0, sigma, size=n)
-    return RidgeCore(Dataset(xs, ys), kernel)
+    return RidgeCore.from_dataset(Dataset(xs, ys), kernel)
 
 
 @st.composite
