@@ -41,6 +41,11 @@ class BoundReport:
     def total(self) -> float:
         return self.bias_sq + self.variance + self.extra
 
+    def rows(self) -> list[list[float]]:
+        """[lambda, bias_sq, variance, total] at each lambda of an array report."""
+        return np.column_stack((self.lambda_or_delta, self.bias_sq, self.variance,
+                                self.total)).tolist()
+
 
 def krr_bound(
     eigs: EigenSequence,
@@ -54,12 +59,15 @@ def krr_bound(
 
     bias^2 = 4 lam B ||f*||_H^2 and
     variance = 80 sigma^2 B (log n / n) sum_j mu_j / (mu_j + lam B).
-    ``lam`` is a number or an array of lambdas, summed in one call of
-    ``resolvent_sum``; for an array each field of the report is an array
-    whose entries are the one-lambda reports' floats.  A bias, variance or
-    total that is not finite raises ``NumericalError``.
+    ``lam`` is a number or a nonempty array of lambdas, summed in one call
+    of ``resolvent_sum``; for an array each field of the report is an array
+    whose entries are the one-lambda reports' floats, so a curve over a
+    grid is one call and its argmin is ``np.argmin(report.total)``.  A bias,
+    variance or total that is not finite raises ``NumericalError``.
     """
     lams = np.asarray(lam, dtype=float)
+    if lams.size == 0:
+        raise ValueError("lambda grid must be nonempty")
     if not (np.all(lams > 0) and 1 <= B < math.inf and n >= 1 and sigma_sq > 0
             and hnorm_sq >= 0):  # also rejects NaN
         raise ValueError("invalid krr_bound arguments")
@@ -73,28 +81,6 @@ def krr_bound(
     return BoundReport(lams, bias_sq, variance)
 
 
-def krr_bound_curve(
-    eigs: EigenSequence,
-    B: float,
-    n: float,
-    sigma_sq: float,
-    hnorm_sq: float,
-    grid: np.ndarray,
-) -> tuple[list[BoundReport], int]:
-    """``krr_bound`` at every grid lambda and the index of the smallest total.
-
-    The whole grid is one ``krr_bound`` call.  Ties go to the first grid
-    point holding the minimum.
-    """
-    if len(grid) == 0:
-        raise ValueError("lambda grid must be nonempty")
-    curve = krr_bound(eigs, np.asarray(grid, dtype=float), B, n, sigma_sq, hnorm_sq)
-    reports = [BoundReport(*terms) for terms in zip(curve.lambda_or_delta.tolist(),
-                                                       curve.bias_sq.tolist(),
-                                                       curve.variance.tolist())]
-    return reports, int(np.argmin(curve.total))
-
-
 def lambda_star(
     eigs: EigenSequence,
     B: float,
@@ -104,9 +90,11 @@ def lambda_star(
     lambda_grid: Optional[np.ndarray] = None,
 ) -> tuple[float, BoundReport]:
     """Grid argmin of the KRR bound total; ties go to the first grid point."""
-    grid = default_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    reports, k = krr_bound_curve(eigs, B, n, sigma_sq, hnorm_sq, grid)
-    return float(grid[k]), reports[k]
+    grid = default_grid() if lambda_grid is None else lambda_grid
+    curve = krr_bound(eigs, grid, B, n, sigma_sq, hnorm_sq)
+    k = int(np.argmin(curve.total))
+    lam = float(curve.lambda_or_delta[k])
+    return lam, BoundReport(lam, float(curve.bias_sq[k]), float(curve.variance[k]))
 
 
 def regular_bound(

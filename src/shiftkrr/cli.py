@@ -85,6 +85,8 @@ def _grid_from(cfg: dict) -> np.ndarray:
                             _int(g, "points", spectrum.DEFAULT_GRID_POINTS))
     else:
         grid = np.asarray(g, dtype=float)
+        if grid.ndim != 1:
+            raise ConfigError("'grid' must be an object or a JSON array of numbers")
     if not np.all(np.isfinite(grid)):
         raise ConfigError("'grid' must hold finite numbers")
     return grid
@@ -121,10 +123,8 @@ def _bound_inputs(cfg: dict):
 def _cmd_bound_curve(cfg: dict):
     eigs, B, n, sigma_sq, hnorm_sq = _bound_inputs(cfg)
     header = ("lambda", "bias_sq", "variance", "total", "B", "n", "sigma_sq")
-    grid = _grid_from(cfg)
-    reports, _ = bounds.krr_bound_curve(eigs, B, n, sigma_sq, hnorm_sq, grid)
-    return header, [[float(lam), rep.bias_sq, rep.variance, rep.total, B, n, sigma_sq]
-                    for lam, rep in zip(grid, reports)]
+    curve = bounds.krr_bound(eigs, _grid_from(cfg), B, n, sigma_sq, hnorm_sq)
+    return header, [[*terms, B, n, sigma_sq] for terms in curve.rows()]
 
 
 def _cmd_lambda_star(cfg: dict) -> dict:
@@ -189,7 +189,7 @@ def _cmd_erm_failure(cfg: dict):
         reps=_int(cfg, "reps", 20),
         seed=_int(cfg, "seed", 0),
     )
-    return experiments.FAILURE_HEADER, [astuple(r) for r in records]
+    return hard_instance.FAILURE_HEADER, [astuple(r) for r in records]
 
 
 def _cmd_figure1(cfg: dict):

@@ -21,12 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    krr_bound_curve,
-    lambda_rule_finite_rank,
-    lambda_rule_poly,
-    reweighted_rate,
-)
+from .bounds import krr_bound, lambda_rule_finite_rank, lambda_rule_poly, reweighted_rate
 from .errors import (FactorizationError, ProjectionError, real_number, refuse_unread_keys,
                      whole_number)
 from .estimators import (
@@ -38,7 +33,7 @@ from .estimators import (
     l2q_error,
 )
 from .hard_instance import hard_pair_runs, hypercube_ridge_core, within_hard_range
-from .seeding import derive_seed, map_units, rng_for
+from .seeding import derive_seed, one_blas_thread, rng_for
 from .shifts import ShiftPair, default_truncation, sample_dataset, truncate_lr
 from .spectrum import EigenKernel, EigenSequence, default_grid
 
@@ -134,6 +129,8 @@ class ExperimentConfig:
         if rule not in _LAMBDA_RULE_KEYS:
             raise ValueError(f"unknown lambda rule {rule!r}")
         refuse_unread_keys(self.lambda_rule, _LAMBDA_RULE_KEYS[rule], f"lambda rule {rule!r}")
+        if rule == "fixed" and "value" not in self.lambda_rule:
+            raise ValueError("lambda rule 'fixed' needs a 'value'")
         for name, allowed in (("estimator", ("krr", "reweighted", "erm")),
                               ("risk", ("auto", "exact", "mc")),
                               ("weight_rule", ("tau_n", "B", "raw")),
@@ -251,9 +248,9 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
     risk mode and estimator once, before any replicate runs.  ERM does not
     evaluate the ``lambda_rule``: its rows report the multiplier it fits
     at, and NaN where it fails.  The cells then run one after another
-    through ``map_units`` on one worker, inside its one-BLAS-thread scope.
-    Spreading the cells over both cores of a 2-core machine made the benchmark's
-    ``risk_sweep`` slower, not faster, and raised its peak RSS.
+    inside ``one_blas_thread``.  Spreading the cells over both cores of a
+    2-core machine made the benchmark's ``risk_sweep`` slower, not faster,
+    and raised its peak RSS.
 
     A replicate draws its sample from ``rng_for(seed_r, 1)`` as
     ``sample_dataset`` does.  An unweighted primal fit (KRR in primal mode,
@@ -327,8 +324,8 @@ def run_risk_sweep(config: ExperimentConfig) -> list[RiskRow]:
 
     cells = [risk_cell(ni, bi) for ni in range(len(config.n_list))
              for bi in range(len(shifts))]
-    per_cell = map_units(lambda replicate: list(map(replicate, range(config.reps))), cells, 1)
-    return [row for rows in per_cell for row in rows]
+    with one_blas_thread():
+        return [replicate(rep) for replicate in cells for rep in range(config.reps)]
 
 
 def _median(values: Sequence[float]) -> float:
@@ -408,13 +405,12 @@ def figure1(
         raise ValueError("figure1 needs a nonempty B_values")
     if eigs is None:
         eigs = EigenSequence.poly_decay(1.0, 1.0)
-    grid = default_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
+    grid = default_grid() if lambda_grid is None else lambda_grid
     rows = []
     for B in B_values:
-        reports, k = krr_bound_curve(eigs, float(B), n, sigma_sq, hnorm_sq, grid)
-        for i, (lam, rep) in enumerate(zip(grid, reports)):
-            rows.append([float(B), float(lam), rep.bias_sq, rep.variance,
-                         rep.total, i == k])
+        curve = krr_bound(eigs, grid, float(B), n, sigma_sq, hnorm_sq)
+        k = int(np.argmin(curve.total))
+        rows += [[float(B), *terms, i == k] for i, terms in enumerate(curve.rows())]
     return rows
 
 
@@ -454,6 +450,3 @@ def figure2(
     runs = hard_pair_runs(cells, reps, lambda core, lam: hilbert_norm_sq(core.fit_ridge(lam)),
                           sigma_sq, D)
     return [[n, B, _median(norms), reps] for (n, B, _), norms in zip(cells, runs)]
-
-
-FAILURE_HEADER = ("rep", "n", "B", "erm_risk", "krr_risk", "krr_hnorm_sq", "theta1_erm")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -203,6 +203,9 @@ class FailureRecord:
     krr_risk: float
     krr_hnorm_sq: float
     theta1_erm: float
+
+
+FAILURE_HEADER = tuple(f.name for f in fields(FailureRecord))
 
 
 def krr_lambda_rule(n: int, B: float) -> float:

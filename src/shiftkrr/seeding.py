@@ -15,7 +15,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -127,25 +127,21 @@ def one_blas_thread() -> Iterator[None]:
                     set_(count)
 
 
-def map_units(fn: Callable[[T], R], units: Iterable[T],
-              threads: Optional[int] = None) -> list[R]:
-    """``[fn(u) for u in units]``, computed on ``threads`` workers inside ``one_blas_thread``.
+def map_units(fn: Callable[[T], R], units: Iterable[T]) -> list[R]:
+    """``[fn(u) for u in units]``, computed on every core inside ``one_blas_thread``.
 
     Results come back in the order of ``units``, and the exception of the
     first failing unit propagates (with several workers, once every unit
-    has run).  ``threads=None`` uses every core this process may run on;
-    the count is capped at the number of units.  BLAS is on one thread for
-    the whole call, serial runs included, so a unit computes the same
-    bytes whatever the worker count, the core count or
-    ``OPENBLAS_NUM_THREADS``.  Where no OpenBLAS is found the units run
-    serially with BLAS untouched.
+    has run).  The worker count is the number of cores this process may
+    run on, capped at the number of units.  BLAS is on one thread for the
+    whole call, serial runs included, so a unit computes the same bytes
+    whatever the worker count, the core count or ``OPENBLAS_NUM_THREADS``.
+    Where no OpenBLAS is found the units run serially with BLAS untouched.
     """
     units = list(units)
     if not _openblas_thread_controls():
         return [fn(u) for u in units]
-    if threads is None:
-        threads = len(os.sched_getaffinity(0))
-    threads = max(1, min(threads, len(units)))
+    threads = max(1, min(len(os.sched_getaffinity(0)), len(units)))
     with one_blas_thread():
         if threads == 1:
             return [fn(u) for u in units]

@@ -6,7 +6,6 @@ import pytest
 from shiftkrr.bounds import (
     expectation_bound,
     krr_bound,
-    krr_bound_curve,
     lambda_rule_finite_rank,
     lambda_rule_poly,
     lambda_star,
@@ -244,8 +243,10 @@ def test_nan_argument_is_rejected(fn, kwargs, arg):
                          ids=["poly", "finite", "explicit"])
 def test_krr_bound_curve_is_krr_bound_at_every_grid_point(eigs):
     grid = default_grid(1e-6, 10.0, 57)
-    reports, k = krr_bound_curve(eigs, 3.0, 2000, 0.7, 1.3, grid)
-    assert reports == [krr_bound(eigs, float(lam), 3.0, 2000, 0.7, 1.3) for lam in grid]
+    curve = krr_bound(eigs, grid, 3.0, 2000, 0.7, 1.3)
+    reports = [krr_bound(eigs, float(lam), 3.0, 2000, 0.7, 1.3) for lam in grid]
+    assert curve.rows() == [[r.lambda_or_delta, r.bias_sq, r.variance, r.total] for r in reports]
+    k = int(np.argmin(curve.total))
     totals = [r.total for r in reports]
     assert totals[k] == min(totals)
     assert lambda_star(eigs, 3.0, 2000, 0.7, 1.3, grid) == (float(grid[k]), reports[k])
@@ -253,14 +254,17 @@ def test_krr_bound_curve_is_krr_bound_at_every_grid_point(eigs):
 
 def test_krr_bound_curve_ties_go_to_the_first_grid_point():
     grid = default_grid(1e-5, 1.0, 40)
-    _, k = krr_bound_curve(POLY1, 5.0, 8000, 1.0, 1.0, grid)
+    lam, rep = lambda_star(POLY1, 5.0, 8000, 1.0, 1.0, grid)
+    k = int(np.flatnonzero(grid == lam)[0])
     # every point twice, in two orders: the first copy of the minimizer wins
     for doubled, first in ((np.concatenate([grid, grid]), k), (np.repeat(grid, 2), 2 * k)):
-        reports, k2 = krr_bound_curve(POLY1, 5.0, 8000, 1.0, 1.0, doubled)
-        assert k2 == first
-        assert lambda_star(POLY1, 5.0, 8000, lambda_grid=doubled) == (float(grid[k]), reports[k2])
+        curve = krr_bound(POLY1, doubled, 5.0, 8000, 1.0, 1.0)
+        assert int(np.argmin(curve.total)) == first
+        assert lambda_star(POLY1, 5.0, 8000, lambda_grid=doubled) == (float(grid[k]), rep)
 
 
 def test_krr_bound_curve_rejects_an_empty_grid():
-    with pytest.raises(ValueError, match="lambda grid must be nonempty"):
-        krr_bound_curve(POLY1, 2.0, 1000, 1.0, 1.0, np.array([]))
+    for calc in (lambda grid: krr_bound(POLY1, grid, 2.0, 1000, 1.0, 1.0),
+                 lambda grid: lambda_star(POLY1, 2.0, 1000, 1.0, 1.0, grid)):
+        with pytest.raises(ValueError, match="lambda grid must be nonempty"):
+            calc(np.array([]))

@@ -372,9 +372,14 @@ GAUSSIAN_PAIR = {"pair": {"family": "gaussian_scale", "tau_sq": 0.9}, "shift_gri
      "requested 5 coordinate features from dimension 4"),
     ({**SWEEP, "kernel": {**SWEEP["kernel"], "rank": 5}, "fit_mode": "dual"},
      "requested 5 coordinate features from dimension 4"),
+    # an ERM sweep does not evaluate a fixed rule, but the rule still needs its value
+    ({**SWEEP, "lambda_rule": {"rule": "fixed"}}, "lambda rule 'fixed' needs a 'value'"),
+    ({**SWEEP, "lambda_rule": {"rule": "fixed"}, "estimator": "erm"},
+     "lambda rule 'fixed' needs a 'value'"),
 ], ids=["risk", "weight_rule", "fit_mode", "clip-at-B-unbounded", "exact-not-orthonormal",
         "n_mc-0", "radius-nan", "truncation_scale-nan", "lambda-nan", "lambda-0",
-        "rank-above-D-primal", "rank-above-D-erm", "rank-above-D-dual"])
+        "rank-above-D-primal", "rank-above-D-erm", "rank-above-D-dual",
+        "fixed-without-value-krr", "fixed-without-value-erm"])
 def test_sweep_config_typos_exit_2(tmp_path, monkeypatch, capsys, cfg, message):
     assert run(tmp_path, monkeypatch, ["simulate-risk"], cfg) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
@@ -389,6 +394,16 @@ def test_sweep_config_typos_exit_2(tmp_path, monkeypatch, capsys, cfg, message):
 def test_empty_lambda_grid_exits_2_with_one_message(tmp_path, monkeypatch, capsys, cmd, cfg):
     assert run(tmp_path, monkeypatch, [cmd], cfg) == 2
     assert capsys.readouterr().err == "config error: lambda grid must be nonempty\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", ["bound-curve", "lambda-star", "figure1", "lower-bound",
+                                 "critical-radius"])
+@pytest.mark.parametrize("grid", [0.5, [[0.5, 0.1]]], ids=["number", "nested"])
+def test_a_grid_that_is_not_a_flat_array_exits_2(tmp_path, monkeypatch, capsys, cmd, grid):
+    assert run(tmp_path, monkeypatch, [cmd], {"eigs": POLY, "grid": grid}) == 2
+    assert capsys.readouterr().err == (
+        "config error: 'grid' must be an object or a JSON array of numbers\n")
     assert not (tmp_path / "out").exists()
 
 

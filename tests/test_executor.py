@@ -25,16 +25,22 @@ def blas_counts():
     return [get() for get, _ in seeding._openblas_thread_controls()]
 
 
-def test_map_units_keeps_order_and_pins_blas_to_one_thread():
+def on_cores(monkeypatch, count, fn):
+    """``fn()`` in a process that seems to run on ``count`` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return fn()
+
+
+def test_map_units_keeps_order_and_pins_blas_to_one_thread(monkeypatch):
     before = blas_counts()
-    seen = map_units(lambda u: (u, blas_counts()), range(7), threads=3)
+    seen = on_cores(monkeypatch, 3, lambda: map_units(lambda u: (u, blas_counts()), range(7)))
     assert [u for u, _ in seen] == list(range(7))
     assert all(counts == [1] * len(before) for _, counts in seen)
     assert blas_counts() == before
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_map_units_restores_blas_counts_after_a_failing_unit(threads):
+def test_map_units_restores_blas_counts_after_a_failing_unit(monkeypatch, threads):
     before = blas_counts()
 
     def unit(u):
@@ -43,21 +49,15 @@ def test_map_units_restores_blas_counts_after_a_failing_unit(threads):
         return u
 
     with pytest.raises(FactorizationError, match="unit 2"):
-        map_units(unit, range(5), threads=threads)
+        on_cores(monkeypatch, threads, lambda: map_units(unit, range(5)))
     assert blas_counts() == before
 
 
 def test_map_units_runs_serially_without_an_openblas(monkeypatch):
     monkeypatch.setattr(seeding, "_openblas_thread_controls", lambda: [])
     caller = threading.get_ident()
-    assert map_units(lambda u: (u, threading.get_ident()), range(4), threads=4) == [
-        (u, caller) for u in range(4)]
-
-
-def on_cores(monkeypatch, count, fn):
-    """``fn()`` in a process that seems to run on ``count`` cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    return fn()
+    assert on_cores(monkeypatch, 4, lambda: map_units(lambda u: (u, threading.get_ident()),
+                                                      range(4))) == [(u, caller) for u in range(4)]
 
 
 def test_simulate_failure_is_independent_of_threads(monkeypatch):
@@ -122,13 +122,14 @@ def test_dual_fit_and_sweep_bytes_do_not_depend_on_openblas_threads(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_one_blas_thread_is_reentrant_and_restores_once():
+def test_one_blas_thread_is_reentrant_and_restores_once(monkeypatch):
     before = blas_counts()
     with seeding.one_blas_thread():
         with seeding.one_blas_thread():
             assert blas_counts() == [1] * len(before)
         assert blas_counts() == [1] * len(before)
-        assert map_units(lambda u: blas_counts(), range(3), threads=2) == [[1] * len(before)] * 3
+        assert on_cores(monkeypatch, 2, lambda: map_units(lambda u: blas_counts(), range(3))) == [
+            [1] * len(before)] * 3
         assert blas_counts() == [1] * len(before)
     assert blas_counts() == before
     with pytest.raises(KeyError):
