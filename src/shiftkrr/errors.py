@@ -25,11 +25,11 @@ class ConfigError(ValueError):
     """A config key or flag the CLI cannot use."""
 
 
-def refuse_unread_keys(obj: dict, read: set, what: str) -> None:
-    """Raise a ConfigError naming each key of ``obj`` that ``what`` does not read."""
+def refuse_unread_keys(obj: dict, read: set, what: str, verb: str = "does not read") -> None:
+    """Raise a ConfigError naming each key of ``obj`` outside ``read``: "{what} {verb} 'key'"."""
     unread = sorted(set(obj) - read)
     if unread:
-        raise ConfigError(f"{what} does not read {', '.join(map(repr, unread))}")
+        raise ConfigError(f"{what} {verb} {', '.join(map(repr, unread))}")
 
 
 class NumericalFailure(RuntimeError):

@@ -42,7 +42,7 @@ FIGURE2_N_VALUES = (2000, 8000, 16000)
 FIGURE2_B_VALUES = (4.0, 16.0, 64.0, 256.0)
 
 
-def _numbers(values, key: str) -> Sequence[float]:
+def number_list(values, key: str) -> Sequence[float]:
     """``values`` if it is a list, tuple or array of numbers, else a ValueError naming ``key``.
 
     A string or a boolean is refused, so a config list is never read one
@@ -105,8 +105,8 @@ class ExperimentConfig:
     fit_mode: str = "primal"
 
     def __post_init__(self):
-        _numbers(self.n_list, "n_list")
-        shifts = (None,) if self.shift_grid is None else _numbers(self.shift_grid, "shift_grid")
+        number_list(self.n_list, "n_list")
+        shifts = (None,) if self.shift_grid is None else number_list(self.shift_grid, "shift_grid")
         if not (len(self.n_list) and len(shifts)):
             raise ValueError("n_list and shift_grid must be nonempty")
         for name in ("reps", "n_mc"):
@@ -401,7 +401,7 @@ def figure1(
     n = 8000, B in {1, 5, 10, 15} on a 400-point log-spaced lambda grid.
     Exactly one row per B is flagged as the bound minimizer.
     """
-    if not len(_numbers(B_values, "B_values")):
+    if not len(number_list(B_values, "B_values")):
         raise ValueError("figure1 needs a nonempty B_values")
     if eigs is None:
         eigs = EigenSequence.poly_decay(1.0, 1.0)
@@ -434,8 +434,8 @@ def figure2(
     seed ``derive_seed(seed, ni, bi)`` and fits only the KRR it reports,
     one linear solve with no ERM and no eigendecomposition.
     """
-    _numbers(n_list, "n_list")
-    _numbers(B_grid, "B_grid")
+    number_list(n_list, "n_list")
+    number_list(B_grid, "B_grid")
     if not all(float(v).is_integer() for v in (*n_list, reps)):
         raise ValueError("figure2 needs whole-number n_list entries and reps")
     if not all(float(n) >= 1 for n in n_list):

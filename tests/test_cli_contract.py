@@ -1,7 +1,9 @@
 """The CLI exit-code contract: malformed input exits 2 or 3, never with a traceback."""
 
+import contextlib
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -18,6 +20,7 @@ SWEEP = {"pair": {"family": "hypercube", "D": 4},
          "n_list": [50, 100, 200], "shift_grid": [2.0], "reps": 2}
 DATA = "x_1,x_2,y,weight\n1,-1,0.5,1\n-1,1,0.2,1\n1,1,0.1,1\n"
 TABLE = "rep,n,B_or_V2,estimator,lambda,risk,hnorm_sq,seed,status\n"
+RATES = TABLE + "0,100,2,krr,0.1,0.5,1,5,ok\n0,200,2,krr,0.1,0.3,1,5,ok\n0,400,2,krr,0.1,0.2,1,5,ok\n"
 
 SUBCOMMANDS = tuple(cli._COMMANDS)
 # the flags each subcommand honours beyond --config, --out and --format
@@ -178,6 +181,37 @@ MALFORMED = [
     ("simulate-risk", {**SWEEP, "kernel": {**SWEEP["kernel"], "kappa_sq": "inf"}}, {}),
 ]
 
+# (subcommand, config, files, its one-line error) for input that must be refused by name
+REFUSED_WITH = [
+    ("rates", {"table": "t.csv"}, {"t.csv": "a,b\n1,2\n"}, "risk table CSV t.csv lacks column(s) "
+     "rep, n, B_or_V2, estimator, lambda, risk, hnorm_sq, seed, status"),
+    ("rates", {"table": "t.csv"}, {"t.csv": "rep,n,risk,status\n0,100,0.5,ok\n"},
+     "risk table CSV t.csv lacks column(s) B_or_V2, estimator, lambda, hnorm_sq, seed"),
+    # a sweep config serves simulate-risk alone, so a key only other subcommands read is refused
+    ("simulate-risk", {**SWEEP, "B": 2.0}, {}, "simulate-risk does not read 'B'"),
+    # a path key takes a nonempty string only
+    ("fit", {"kernel": KERNEL, "data": False}, {}, "'data' must be a file path: --data or a "
+     "nonempty string"),
+    ("fit", {"kernel": KERNEL, "data": 2.5}, {}, "'data' must be a file path: --data or a "
+     "nonempty string"),
+    ("rates", {"table": ["t.csv"]}, {"t.csv": RATES}, "'table' must be a file path: --table or a "
+     "nonempty string"),
+]
+
+# (subcommand, a config it runs, files, a misspelled key added to that config)
+MISSPELLED = [
+    ("fit", {"kernel": KERNEL, "data": "d.csv", "lamda": 0.5}, {"d.csv": DATA}, "lamda"),
+    ("bound-curve", {"eigs": POLY, "grid": [0.1], "sigam_sq": 4.0}, {}, "sigam_sq"),
+    ("lambda-star", {"eigs": POLY, "sigam_sq": 4.0}, {}, "sigam_sq"),
+    ("lower-bound", {"eigs": POLY, "C": 2.0}, {}, "C"),
+    ("critical-radius", {"eigs": POLY, "general_nosie": True}, {}, "general_nosie"),
+    ("simulate-risk", {**SWEEP, "sed": 3}, {}, "sed"),
+    ("rates", {"table": "t.csv", "tabel": "u.csv"}, {"t.csv": RATES}, "tabel"),
+    ("erm-failure", {"n": 60, "B": 2.0, "reps": 1, "rep": 3}, {}, "rep"),
+    ("figure1", {"grid": [0.1], "B_value": [2.0]}, {}, "B_value"),
+    ("figure2", {"n_list": [60], "B_grid": [2.0], "reps": 1, "Bgrid": [4.0]}, {}, "Bgrid"),
+]
+
 # (subcommand, config, the key its error names): each key is one the object's kind does not read
 UNREAD_KEYS = [
     ("lambda-star", {"eigs": {**POLY, "jmax": 10}}, "jmax"),
@@ -224,6 +258,54 @@ def run(tmp_path, monkeypatch, argv, cfg=None, files=()):
 def test_malformed_input_exits_2_or_3(tmp_path, monkeypatch, capsys, cmd, cfg, files):
     assert run(tmp_path, monkeypatch, [cmd], cfg, files) in (2, 3)
     assert capsys.readouterr().err.startswith(("config error:", "numerical failure:"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,cfg,files,message", REFUSED_WITH,
+                         ids=[f"{c}-{i}" for i, (c, *_) in enumerate(REFUSED_WITH)])
+def test_refused_input_exits_2_naming_what_is_wrong(tmp_path, monkeypatch, capsys, cmd, cfg,
+                                                    files, message):
+    assert run(tmp_path, monkeypatch, [cmd], cfg, files) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,cfg,files,key", MISSPELLED, ids=[m[0] for m in MISSPELLED])
+def test_a_key_no_subcommand_reads_exits_2_naming_it(tmp_path, monkeypatch, capsys, cmd, cfg,
+                                                     files, key):
+    assert run(tmp_path, monkeypatch, [cmd], cfg, files) == 2
+    assert capsys.readouterr().err == f"config error: no subcommand reads '{key}'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd,cfg,other", [
+    ("critical-radius", {"eigs": POLY, "grid": {"points": 60}}, {"B": 7.5}),
+    ("bound-curve", {"eigs": POLY, "grid": [0.1, 1.0]}, {"V_sq": 2.5, "c0": 2.0}),
+    ("lambda-star", {"eigs": POLY}, {"data": "d.csv", "n_list": [1]}),
+    ("figure1", {"grid": [0.1]}, {"table": 5, "c0": "x"}),
+    ("erm-failure", {"n": 60, "B": 2.0, "reps": 1}, {"B_values": "x", "grid": None}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_a_key_only_other_subcommands_read_is_ignored(tmp_path, monkeypatch, cmd, cfg, other):
+    assert run(tmp_path, monkeypatch, [cmd], cfg) == 0
+    alone = (tmp_path / "out").read_bytes()
+    assert run(tmp_path, monkeypatch, [cmd], {**cfg, **other}) == 0
+    assert (tmp_path / "out").read_bytes() == alone
+
+
+@pytest.mark.parametrize("cmd,key,text", [("fit", "data", DATA), ("rates", "table", RATES)],
+                         ids=["fit", "rates"])
+def test_a_path_key_is_never_opened_as_a_file_descriptor(tmp_path, monkeypatch, capsys, cmd,
+                                                         key, text):
+    (tmp_path / "f.csv").write_text(text)
+    fd = os.open(tmp_path / "f.csv", os.O_RDONLY)
+    try:
+        cfg = {"kernel": KERNEL, key: fd} if cmd == "fit" else {key: fd}
+        assert run(tmp_path, monkeypatch, [cmd], cfg) == 2
+    finally:
+        with contextlib.suppress(OSError):  # a reader that opened the descriptor closed it
+            os.close(fd)
+    assert capsys.readouterr().err == (
+        f"config error: '{key}' must be a file path: --{key} or a nonempty string\n")
     assert not (tmp_path / "out").exists()
 
 
