@@ -40,7 +40,7 @@ import json
 import os
 import sys
 from dataclasses import astuple
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -99,9 +99,16 @@ _eigs, _kernel = _from_json(EigenSequence), _from_json(EigenKernel)
 def _grid(value, key: str) -> np.ndarray:
     if value is None or isinstance(value, dict):
         g = value or {}
-        grid = default_grid(real_number(g.get("lo", spectrum.DEFAULT_GRID_MIN), "grid.lo"),
-                            real_number(g.get("hi", spectrum.DEFAULT_GRID_MAX), "grid.hi"),
-                            _whole(g.get("points", spectrum.DEFAULT_GRID_POINTS), "points"))
+        refuse_unread_keys(g, {"lo", "hi", "points"}, "a 'grid'")
+        lo = real_number(g.get("lo", spectrum.DEFAULT_GRID_MIN), "grid.lo")
+        hi = real_number(g.get("hi", spectrum.DEFAULT_GRID_MAX), "grid.hi")
+        points = whole_number(g.get("points", spectrum.DEFAULT_GRID_POINTS), "grid.points")
+        for end, v in (("lo", lo), ("hi", hi)):
+            if not (v > 0 and np.isfinite(v)):  # also rejects NaN
+                raise ConfigError(f"'grid.{end}' must be finite and positive")
+        if points < 0:
+            raise ConfigError("'grid.points' must be nonnegative")
+        grid = default_grid(lo, hi, points)
     else:
         grid = np.asarray(value, dtype=float)
         if grid.ndim != 1:
@@ -164,8 +171,7 @@ def _cmd_rates(table) -> dict:
         missing = [c for c in experiments.RISK_HEADER if c not in (records.fieldnames or ())]
         if missing:
             raise ConfigError(f"risk table CSV {table} lacks column(s) {', '.join(missing)}")
-        # RiskRow's fields in RISK_HEADER's order
-        kinds = (int, int, float, str, float, float, float, int, str)
+        kinds = get_type_hints(experiments.RiskRow).values()  # in RISK_HEADER's order
         rows = [experiments.RiskRow(*(kind(rec[c]) for kind, c in
                                       zip(kinds, experiments.RISK_HEADER))) for rec in records]
     slopes = sorted(experiments.fit_rate_slope(rows).items())

@@ -1,4 +1,4 @@
-"""The error types the CLI maps to exit codes, and the number-key and unread-key checks.
+"""The error types the CLI maps to exit codes, and the number-key and config-key checks.
 
 ``ConfigError`` (a ``ValueError``, like every refusal of input) exits 2.
 Every ``NumericalFailure`` exits 3: a well-formed computation that has no
@@ -30,6 +30,13 @@ def refuse_unread_keys(obj: dict, read: set, what: str, verb: str = "does not re
     unread = sorted(set(obj) - read)
     if unread:
         raise ConfigError(f"{what} {verb} {', '.join(map(repr, unread))}")
+
+
+def required_key(obj: dict, key: str, what: str):
+    """``obj[key]``, or a ConfigError "{what} needs 'key'" when ``obj`` lacks it."""
+    if key not in obj:
+        raise ConfigError(f"{what} needs '{key}'")
+    return obj[key]
 
 
 class NumericalFailure(RuntimeError):

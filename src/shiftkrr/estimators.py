@@ -156,9 +156,10 @@ class RidgeCore:
     weights W (unit by default), the observations reduce to
     G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, and every ridge
     solution solves (G + n xi I) z(xi) = c, with theta = M^(1/2) z.  The
-    core takes the moments F^T W F and F^T W y, F holding the features
-    of the nonzero eigenvalues only, however they were formed: in blocks,
-    or by ``from_dataset`` from a dataset's rows.
+    core takes the moments F^T W F and F^T W y over the kernel's first
+    m >= ``kernel.live`` features, however they were formed: in blocks, or
+    by ``from_dataset`` from a dataset's rows, and keeps their block of
+    the nonzero eigenvalues, ``mu[:live]``; theta is 0 beyond it.
 
     Every fit solves with G + n xi I through ``_solve``, which reads
     U diag(1/(s + n xi)) U^T off a spectrum the core already holds and
@@ -173,11 +174,10 @@ class RidgeCore:
             raise ValueError("need at least one observation")
         self.kernel = kernel
         self.n = n
-        self.active = kernel.mu > 0
-        self.sqrt_mu = np.sqrt(kernel.mu[self.active])
+        self.sqrt_mu = np.sqrt(kernel.mu[:kernel.live])
         # scaling by an outer product keeps G as symmetric as F^T W F
-        self.G = FtWF * np.outer(self.sqrt_mu, self.sqrt_mu)
-        self.c = self.sqrt_mu * FtWy
+        self.G = FtWF[:kernel.live, :kernel.live] * np.outer(self.sqrt_mu, self.sqrt_mu)
+        self.c = self.sqrt_mu * FtWy[:kernel.live]
         self._spectrum = None
 
     @classmethod
@@ -212,7 +212,7 @@ class RidgeCore:
 
     def _model(self, z: np.ndarray, lam: float, alpha: Optional[np.ndarray] = None) -> FittedModel:
         theta = np.zeros(self.kernel.rank)
-        theta[self.active] = self.sqrt_mu * z
+        theta[:self.kernel.live] = self.sqrt_mu * z
         return FittedModel(mode="primal" if alpha is None else "dual", kernel=self.kernel,
                            theta=theta, lam=lam, alpha=alpha)
 
@@ -253,9 +253,8 @@ def _weighted_rows(data: Dataset, kernel: EigenKernel, weights: Optional[np.ndar
                    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """W^(1/2) F over the nonzero eigenvalues, W^(1/2) y, and W^(1/2) (None when W = I)."""
     F = kernel.feature_matrix(data.xs)
-    active = kernel.mu > 0
-    if not np.all(active):
-        F = F[:, active]
+    if kernel.live < kernel.rank:  # BLAS sums by layout, so the copy keeps Fortran order
+        F = np.asfortranarray(F[:, :kernel.live])
     ys = data.ys
     root_w = None if weights is None else np.sqrt(weights)
     if root_w is not None:
@@ -371,12 +370,10 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
 
 def hilbert_norm_sq(model: FittedModel) -> float:
     """Squared Hilbert norm: alpha^T K alpha, equal to sum_j theta_j^2 / mu_j."""
-    mu = model.kernel.mu
-    dead = mu == 0
-    if np.any(model.theta[dead] != 0.0):
+    live = model.kernel.live
+    if np.any(model.theta[live:] != 0.0):
         raise ValueError("not in RKHS")
-    live = ~dead
-    return float(np.sum(model.theta[live] ** 2 / mu[live]))
+    return float(np.sum(model.theta[:live] ** 2 / model.kernel.mu[:live]))
 
 
 def empirical_risk(model: FittedModel, data: Dataset,

@@ -181,22 +181,20 @@ def fstar_coordinates(spec: dict, kernel: EigenKernel, hnorm_sq: float) -> np.nd
     if kind not in _FSTAR_KEYS:
         raise ValueError(f"unknown fstar kind {kind!r}")
     refuse_unread_keys(spec, _FSTAR_KEYS[kind], f"a {kind} 'fstar'")
-    mu = kernel.mu
+    mu, live = kernel.mu, kernel.live
     theta = np.zeros(kernel.rank)
     if kind == "phi":
         j = whole_number(spec.get("j", 1), "fstar.j")
-        if not 1 <= j <= kernel.rank or mu[j - 1] == 0:
+        if not 1 <= j <= live:
             raise ValueError("fstar index outside the kernel rank")
         theta[j - 1] = math.sqrt(hnorm_sq * mu[j - 1])
         return theta
     e = real_number(spec.get("exponent", 1.25), "fstar.exponent")
     if not math.isfinite(e):
         raise ValueError("'fstar.exponent' must be a finite number")
-    raw = np.arange(1, kernel.rank + 1, dtype=float) ** -e
-    live = mu > 0
-    raw[~live] = 0.0
-    scale = float(np.sum(raw[live] ** 2 / mu[live]))
-    theta[live] = raw[live] * math.sqrt(hnorm_sq / scale)
+    raw = (np.arange(1, kernel.rank + 1, dtype=float) ** -e)[:live]
+    scale = float(np.sum(raw ** 2 / mu[:live]))
+    theta[:live] = raw * math.sqrt(hnorm_sq / scale)
     return theta
 
 
@@ -204,9 +202,9 @@ def _build_pair(template: dict, shift: Optional[float]) -> ShiftPair:
     """The pair of ``template``, its B or tau_sq set to ``shift`` unless that is None."""
     spec = dict(template)
     if shift is not None:
-        if spec["family"] == "hypercube":
+        if spec.get("family") == "hypercube":
             spec["B"] = float(shift)
-        elif spec["family"] == "gaussian_scale":
+        elif spec.get("family") == "gaussian_scale":
             spec["tau_sq"] = float(shift)
     return ShiftPair.from_json(spec)
 
@@ -218,8 +216,7 @@ def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
     if name == "fixed":
         return real_number(rule["value"], "lambda_rule.value")
     if name == "finite_rank":
-        D = int(np.count_nonzero(kernel.mu))
-        return lambda_rule_finite_rank(sigma_sq, D, n)
+        return lambda_rule_finite_rank(sigma_sq, kernel.live, n)
     if name == "poly":
         alpha = real_number(rule.get("alpha", kernel.eigs.alpha or 1.0), "lambda_rule.alpha")
         if pair.declared_B is None:
@@ -230,8 +227,7 @@ def _resolve_lambda(rule: dict, n: int, pair: ShiftPair, kernel: EigenKernel,
     if "alpha" in rule:
         return reweighted_rate("poly", v_sq, sigma_sq, n, c,
                                alpha=real_number(rule["alpha"], "lambda_rule.alpha"))
-    D = int(np.count_nonzero(kernel.mu))
-    return reweighted_rate("finite_rank", v_sq, sigma_sq, n, c, D=D)
+    return reweighted_rate("finite_rank", v_sq, sigma_sq, n, c, D=kernel.live)
 
 
 #: (pair, kernel) families whose eigenfunctions are orthonormal under the target

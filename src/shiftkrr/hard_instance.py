@@ -84,12 +84,12 @@ def hypercube_ridge_core(kernel: EigenKernel, theta_star: np.ndarray, n: int, D:
     e their N(0, sigma^2) noise, drawn from ``rng`` as
     ``shifts.sample_dataset`` draws them.  The moments come from
     ``sample_hard_pair_moments`` over all D coordinates, so no n x D array
-    is formed; F^T F is x^T x restricted to the first rank coordinates,
-    F^T y = (F^T F) theta* + F^T e, and both are then restricted to the
-    kernel's nonzero eigenvalues, as ``RidgeCore`` takes them.  F^T F
-    equals the product of the drawn design bit for bit; F^T y differs
-    from the product with y in rounding only.  An n below 1 is refused
-    before ``rng`` moves.
+    is formed; F^T F is x^T x restricted to the first rank coordinates
+    and F^T y = (F^T F) theta* + F^T e, both passed whole: ``RidgeCore``
+    keeps the block of the kernel's nonzero eigenvalues.  F^T F equals the
+    product of the drawn design bit for bit; F^T y differs from the
+    product with y in rounding only.  An n below 1 is refused before
+    ``rng`` moves.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -98,11 +98,7 @@ def hypercube_ridge_core(kernel: EigenKernel, theta_star: np.ndarray, n: int, D:
         raise ValueError(f"requested {r} coordinate features from dimension {D}")
     xtx, xte = sample_hard_pair_moments(n, D, B, sigma, rng)
     FtF = xtx[:r, :r]
-    Fty = FtF @ theta_star + xte[:r]
-    active = kernel.mu > 0
-    if not np.all(active):
-        FtF, Fty = FtF[np.ix_(active, active)], Fty[active]
-    return RidgeCore(kernel, n, FtF, Fty)
+    return RidgeCore(kernel, n, FtF, FtF @ theta_star + xte[:r])
 
 
 def g_dual_tail(

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import real_number, refuse_unread_keys, whole_number
+from .errors import real_number, refuse_unread_keys, required_key, whole_number
 from .seeding import rng_for
 
 
@@ -123,14 +123,15 @@ class ShiftPair:
     @classmethod
     def from_json(cls, obj) -> "ShiftPair":
         """The pair of a config object, which may hold no key its family does not read."""
-        family = obj["family"]
+        family = required_key(obj, "family", "a 'pair'")
+        what = f"pair family {family!r}"
         if family == "hypercube":
-            refuse_unread_keys(obj, {"family", "D", "B"}, "pair family 'hypercube'")
-            return hypercube_hard_pair(whole_number(obj["D"], "D"),
+            refuse_unread_keys(obj, {"family", "D", "B"}, what)
+            return hypercube_hard_pair(whole_number(required_key(obj, "D", what), "D"),
                                        real_number(obj.get("B", 1.0), "B"))
         if family == "gaussian_scale":
-            refuse_unread_keys(obj, {"family", "tau_sq"}, "pair family 'gaussian_scale'")
-            return gaussian_scale_pair(real_number(obj["tau_sq"], "tau_sq"))
+            refuse_unread_keys(obj, {"family", "tau_sq"}, what)
+            return gaussian_scale_pair(real_number(required_key(obj, "tau_sq", what), "tau_sq"))
         raise ValueError(f"unknown shift family {family!r}")
 
 

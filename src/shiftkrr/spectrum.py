@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (NumericalError, TruncationExceeded, real_number, refuse_unread_keys,
-                     whole_number)
+                     required_key, whole_number)
 
 DEFAULT_J_MAX = 10**6
 
@@ -143,15 +143,17 @@ class EigenSequence:
 
     @classmethod
     def from_json(cls, obj) -> "EigenSequence":
-        kind = obj["kind"]
+        kind = required_key(obj, "kind", "an 'eigs'")
         if kind not in _JSON_KEYS:
             raise ValueError(f"unknown eigenvalue sequence kind {kind!r}")
-        refuse_unread_keys(obj, _JSON_KEYS[kind], f"a {kind} 'eigs'")
+        what = f"{'an' if kind == 'explicit' else 'a'} {kind} 'eigs'"
+        refuse_unread_keys(obj, _JSON_KEYS[kind], what)
         if kind == "poly":
-            return cls.poly_decay(obj["alpha"], obj.get("c", 1.0), obj.get("j_max", DEFAULT_J_MAX))
+            return cls.poly_decay(required_key(obj, "alpha", what), obj.get("c", 1.0),
+                                  obj.get("j_max", DEFAULT_J_MAX))
         if kind == "finite":
-            return cls.finite_rank(obj["values"])
-        return cls.explicit(obj["values"], obj.get("j_max", DEFAULT_J_MAX))
+            return cls.finite_rank(required_key(obj, "values", what))
+        return cls.explicit(required_key(obj, "values", what), obj.get("j_max", DEFAULT_J_MAX))
 
     # ---- basic access --------------------------------------------------
 
@@ -510,6 +512,7 @@ class EigenKernel:
         if self.rank < 1:
             raise ValueError("kernel rank must be >= 1")
         self.mu = eigs.leading(self.rank)
+        self.live = int(np.count_nonzero(self.mu))  # mu is nonincreasing: mu[:live] > 0
         self.kappa_sq = (float(np.sum(self.mu)) if kappa_sq is None
                          else real_number(kappa_sq, "kappa_sq"))
         if not self.kappa_sq > 0:  # also rejects NaN
@@ -535,11 +538,12 @@ class EigenKernel:
 
     @classmethod
     def from_json(cls, obj) -> "EigenKernel":
-        if not isinstance(obj["eigs"], dict):
+        eigs = required_key(obj, "eigs", "a 'kernel'")
+        if not isinstance(eigs, dict):
             raise ValueError("config needs a JSON object under 'eigs'")
         refuse_unread_keys(obj, {"eigs", "eigenfunctions", "rank", "kappa_sq"}, "a 'kernel'")
         return cls(
-            EigenSequence.from_json(obj["eigs"]),
+            EigenSequence.from_json(eigs),
             obj.get("eigenfunctions", "hypercube"),
             rank=obj.get("rank"),
             kappa_sq=obj.get("kappa_sq"),

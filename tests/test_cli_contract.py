@@ -196,6 +196,22 @@ REFUSED_WITH = [
      "nonempty string"),
     ("rates", {"table": ["t.csv"]}, {"t.csv": RATES}, "'table' must be a file path: --table or a "
      "nonempty string"),
+    # a config object without a required key names the object and the key
+    ("lambda-star", {"eigs": {"alpha": 1.0}}, {}, "an 'eigs' needs 'kind'"),
+    ("lambda-star", {"eigs": {"kind": "poly"}}, {}, "a poly 'eigs' needs 'alpha'"),
+    ("bound-curve", {"eigs": {"kind": "finite"}}, {}, "a finite 'eigs' needs 'values'"),
+    ("critical-radius", {"eigs": {"kind": "explicit", "j_max": 4}}, {},
+     "an explicit 'eigs' needs 'values'"),
+    ("fit", {"kernel": {"rank": 2}, "data": "d.csv"}, {"d.csv": DATA}, "a 'kernel' needs 'eigs'"),
+    ("simulate-risk", {**SWEEP, "kernel": {"rank": 4}}, {}, "a 'kernel' needs 'eigs'"),
+    ("simulate-risk", {**SWEEP, "pair": {"D": 4}}, {}, "a 'pair' needs 'family'"),
+    ("simulate-risk", {**SWEEP, "pair": {"D": 4}, "shift_grid": None}, {},
+     "a 'pair' needs 'family'"),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "hypercube"}}, {},
+     "pair family 'hypercube' needs 'D'"),
+    ("simulate-risk", {**SWEEP, "pair": {"family": "gaussian_scale"}, "shift_grid": None,
+                       "kernel": {"eigs": POLY, "eigenfunctions": "hermite", "rank": 4}}, {},
+     "pair family 'gaussian_scale' needs 'tau_sq'"),
 ]
 
 # (subcommand, a config it runs, files, a misspelled key added to that config)
@@ -510,6 +526,28 @@ def test_fit_data_that_is_not_finite_exits_2_naming_the_file(tmp_path, monkeypat
     cfg = {"kernel": KERNEL, "data": "d.csv", "mode": mode}
     assert run(tmp_path, monkeypatch, ["fit"], cfg, {"d.csv": DATA + row + "\n"}) == 2
     assert capsys.readouterr().err.startswith("config error: dataset CSV d.csv:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", ["bound-curve", "lambda-star", "lower-bound", "critical-radius",
+                                 "figure1"])
+@pytest.mark.parametrize("grid,key", [
+    ({"point": 60}, "point"),
+    ({"lo": -1.0}, "grid.lo"),
+    ({"lo": 0.0}, "grid.lo"),
+    ({"hi": math.inf}, "grid.hi"),
+    ({"points": -3}, "grid.points"),
+], ids=["unread-key", "lo-negative", "lo-zero", "hi-inf", "points-negative"])
+def test_a_grid_object_refuses_what_it_cannot_use_by_key(tmp_path, monkeypatch, capsys, cmd,
+                                                         grid, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"eigs": POLY, "grid": grid}))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main([cmd, "--config", "cfg.json", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert "Warning" not in err and not seen
     assert not (tmp_path / "out").exists()
 
 

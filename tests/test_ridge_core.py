@@ -153,3 +153,37 @@ def test_noisy_dual_reads_theta_off_the_primal_system(seed, lam):
     primal = RidgeCore.from_dataset(data, kernel, w).fit_ridge(lam).theta
     dual = fit_reweighted_krr(data, kernel, lam, mode="dual").theta
     assert np.linalg.norm(dual - primal) <= 1e-9 * np.linalg.norm(primal)
+
+
+
+@pytest.mark.parametrize("family", ["hypercube", "hermite"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_a_core_drops_the_zero_eigen_pairs_of_its_moments(family, weighted):
+    kernel = EigenKernel(EigenSequence.finite_rank([1.0, 0.5, 0.25, 0.0, 0.0]), family)
+    rng = np.random.default_rng(11)
+    n = 40
+    if family == "hypercube":
+        # quarter-integer responses and root weights keep every moment sum exact
+        xs = rng.choice([-1.0, 1.0], size=(n, 5))
+        ys = rng.integers(-8, 9, size=n) / 4.0
+        root_w = rng.integers(1, 8, size=n) / 4.0 if weighted else np.ones(n)
+    else:
+        xs = rng.normal(size=(n, 1))
+        ys = rng.normal(size=n)
+        root_w = rng.uniform(0.5, 1.5, size=n) if weighted else np.ones(n)
+    data = Dataset(xs, ys, root_w**2 if weighted else None)
+    Fw = kernel.feature_matrix(xs) * root_w[:, None]
+    FtWF, FtWy = Fw.T @ Fw, Fw.T @ (root_w * ys)
+    full = RidgeCore(kernel, n, FtWF, FtWy)  # moments over every feature, zero eigenvalues too
+    lead = RidgeCore(kernel, n, FtWF[:3, :3].copy(), FtWy[:3].copy())
+    rows = RidgeCore.from_dataset(data, kernel, data.weights)
+    assert full.G.shape == (3, 3)
+    for fit in (lambda core: core.fit_ridge(0.05), lambda core: core.fit_constrained(0.5)):
+        theta = fit(full).theta
+        assert len(theta) == kernel.rank and np.all(theta[3:] == 0.0)
+        assert theta.tobytes() == fit(lead).theta.tobytes()
+        if family == "hypercube":
+            assert theta.tobytes() == fit(rows).theta.tobytes()
+        else:
+            # BLAS orders the sums of F^T W y by the number of columns, so they differ in rounding
+            np.testing.assert_allclose(theta, fit(rows).theta, rtol=1e-12, atol=0.0)
