@@ -60,11 +60,6 @@ def _finite(value, key: str) -> float:
     return value
 
 
-def _whole(value, key: str) -> Optional[int]:
-    """8000 or 8000.0, never 8000.9 (None stays None)."""
-    return None if value is None else whole_number(value, key)
-
-
 def _boolean(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"'{key}' must be true or false")
@@ -196,12 +191,12 @@ def _cmd_figure2(**keys):
 # reader names it; an absent key whose default is _UNSET is not passed, leaving the
 # handler's own default (or ExperimentConfig's) in force.
 _UNSET = object()
-_BOUND = {"eigs": (_eigs, None), "B": (_finite, 1.0), "n": (_whole, 8000),
+_BOUND = {"eigs": (_eigs, None), "B": (_finite, 1.0), "n": (whole_number, 8000),
           "sigma_sq": (_finite, 1.0), "hnorm_sq": (_finite, 1.0), "grid": (_grid, None)}
 _SWEEP = {**dict.fromkeys(experiments.ExperimentConfig.__dataclass_fields__, (_given, _UNSET)),
-          "seed": (_whole, 0)}
-_HARD_PAIR = {"sigma_sq": (_finite, 1.0), "D": (_whole, None), "reps": (_whole, 20),
-              "seed": (_whole, 0)}
+          "seed": (whole_number, 0)}
+_HARD_PAIR = {"sigma_sq": (_finite, 1.0), "D": (whole_number, _UNSET),
+              "reps": (whole_number, 20), "seed": (whole_number, 0)}
 _SEED = {"seed": "master seed"}
 # subcommand -> (handler, {key: (reader, default)}, {flag: help}): each flag is a key that
 # argparse may also set, overriding the config, with the type its reader implies
@@ -214,23 +209,23 @@ _COMMANDS = {
     "lower-bound": (_cmd_lower_bound, {**_BOUND, "c": (_finite, 1.0)}, {}),
     "critical-radius": (_cmd_critical_radius, {
         "eigs": (_eigs, None), "sigma_sq": (_finite, 1.0), "V_sq": (_finite, 1.0),
-        "n": (_whole, 8000), "hnorm_sq": (_finite, 1.0), "c0": (_finite, 1.0),
+        "n": (whole_number, 8000), "hnorm_sq": (_finite, 1.0), "c0": (_finite, 1.0),
         "general_noise": (_boolean, False), "grid": (_grid, None)}, {}),
     "simulate-risk": (_cmd_simulate_risk, _SWEEP, _SEED),
     "rates": (_cmd_rates, {"table": (_path, None)}, {"table": "risk table CSV path"}),
-    "erm-failure": (_cmd_erm_failure, {"n": (_whole, 8000), "B": (_finite, _UNSET),
+    "erm-failure": (_cmd_erm_failure, {"n": (whole_number, 8000), "B": (_finite, _UNSET),
                                        **_HARD_PAIR},
                     {**_SEED, "n": "sample size", "B": "likelihood-ratio bound",
                      "reps": "replicates"}),
     "figure1": (_cmd_figure1, {
-        "B_values": (number_list, experiments.FIGURE1_B_VALUES), "n": (_whole, 8000),
+        "B_values": (number_list, experiments.FIGURE1_B_VALUES), "n": (whole_number, 8000),
         "sigma_sq": (_finite, 1.0), "hnorm_sq": (_finite, 1.0), "grid": (_grid, None),
         "eigs": (_eigs, _UNSET)}, {}),
     "figure2": (_cmd_figure2, {"n_list": (number_list, experiments.FIGURE2_N_VALUES),
                                "B_grid": (number_list, experiments.FIGURE2_B_VALUES),
                                **_HARD_PAIR}, _SEED),
 }
-_FLAG_TYPES = {_whole: int, _finite: float, _path: str}
+_FLAG_TYPES = {whole_number: int, _finite: float, _path: str}
 _READ = {key for _, keys, _ in _COMMANDS.values() for key in keys}
 
 

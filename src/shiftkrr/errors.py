@@ -8,17 +8,30 @@ their builtin bases, so ``NumericalError`` is still a ``ValueError``.
 
 
 def whole_number(value, key: str) -> int:
-    """8000 or 8000.0 as an int; 8000.9, NaN, inf or a boolean raise a ValueError naming ``key``."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError(f"'{key}' must be a whole number")
-    return int(value)
+    """8000, 8000.0 or "8000" as an int; anything else raises a ValueError naming ``key``.
+
+    8000.9, NaN, inf, a boolean, null and a string that ``float`` cannot
+    read are refused.
+    """
+    try:
+        if not isinstance(value, bool) and float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"'{key}' must be a whole number")
 
 
 def real_number(value, key: str) -> float:
-    """``value`` as a float, as ``float`` reads it; a boolean raises a ValueError naming ``key``."""
-    if isinstance(value, bool):
-        raise ValueError(f"'{key}' must be a number")
-    return float(value)
+    """``value`` as a float, as ``float`` reads it; a boolean, null or unreadable string raises.
+
+    The ValueError names ``key``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"'{key}' must be a number")
 
 
 class ConfigError(ValueError):

@@ -4,10 +4,11 @@ Every fit comes from one core.  ``RidgeCore`` holds the weighted ridge
 statistics of n observations in the kernel's eigen-coordinates,
 G = M^(1/2) F^T W F M^(1/2) and c = M^(1/2) F^T W y, built from their
 moments alone.  A ridge fit at one lam is one linear solve of
-(G + n lam I) z = c.  Only the norm-constrained ERM (through the
-ball-constrained quadratic ``ball_quadratic_min``) needs the spectrum of
-G, which the core then computes and keeps, so every later fit on the
-same core reads its solves off that eigendecomposition.
+(G + n lam I) z = c.  Only the norm-constrained ERM needs z at many
+lam, for the ball-constrained quadratic ``ball_quadratic_min``; these all
+lie in the Krylov space K_k(G, c), so the core builds one Lanczos basis
+of it and solves the quadratic on the basis's small tridiagonal, and
+every later fit on the same core reads its solve off that basis.
 
 Ridge and reweighted ridge also have a ``dual`` mode, the one fit that
 reads the rows and not only their moments, with coefficients alpha over
@@ -46,6 +47,13 @@ _BALL_RTOL = 1e-13
 
 #: Newton steps allowed to ``ball_quadratic_min``
 _BALL_MAX_ITER = 100
+
+#: Lanczos steps between two solves on a core's Krylov basis
+_KRYLOV_STRIDE = 10
+
+#: a solve on the Krylov basis has converged at a residual of at most this times ||c||; at
+#: 1e-13, ERM on a rank-64 core with cond(G) ~ 1e3 was 1e-11 off an exact solve, eigh 2e-14
+_KRYLOV_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,56 @@ def psd_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(s, 0.0, None), U
 
 
+class _KrylovBasis:
+    """A Lanczos basis of the Krylov space K_k(G, c) = span{c, G c, ..., G^(k-1) c}.
+
+    The rows of ``V[:k]`` are orthonormal, starting at v_1 = c / ||c||, and
+    each new vector is orthogonalized against all earlier ones twice, so
+    T_k = V_k G V_k^T is the tridiagonal of ``alpha`` and ``beta``, with
+    ``ritz`` = (s, Q) its eigendecomposition Q diag(s) Q^T.  On the basis,
+    (G + nu I) z = c reduces to (T_k + nu I) y = ||c|| e_1 with
+    z = V_k^T y, whose residual on the full system is beta_k |y_k|.  The
+    space does not depend on nu, so one basis serves every shift, and it
+    is exact at k = rank or when beta_k = 0.
+
+    c lies in the range of G, and only its rounding does not.  Lanczos
+    amplifies that rounding until the basis holds directions of G's null
+    space, whose Ritz values are rounding too.  So ``ct``, c in the
+    eigenbasis of T_k (||c|| Q^T e_1), is zeroed where s is at most
+    rank * eps * max(s), as it would be in the eigenbasis of G.
+    """
+
+    def __init__(self, G: np.ndarray, c: np.ndarray):
+        self.G = G
+        self.c_norm = float(np.linalg.norm(c))
+        self.V = np.empty((len(c), len(c)))  # rows are filled as the basis grows
+        self.alpha: list[float] = []
+        self.beta: list[float] = []
+        self.next = c / self.c_norm if self.c_norm else c
+        self.exact = False
+        self.extend(_KRYLOV_STRIDE)
+
+    def extend(self, steps: int) -> None:
+        """Add up to ``steps`` Lanczos vectors, then decompose T_k into ``ritz`` and ``ct``."""
+        for _ in range(steps):
+            if self.exact:
+                break
+            k = len(self.alpha)
+            v = self.V[k] = self.next
+            w = self.G @ v
+            self.alpha.append(float(v @ w))
+            for _ in range(2):
+                w -= self.V[:k + 1].T @ (self.V[:k + 1] @ w)
+            self.beta.append(float(np.linalg.norm(w)))
+            self.exact = k + 1 == len(self.V) or self.beta[-1] == 0.0
+            if not self.exact:
+                self.next = w / self.beta[-1]
+        off = self.beta[:-1]
+        s, Q = self.ritz = psd_eigh(np.diag(self.alpha) + np.diag(off, 1) + np.diag(off, -1))
+        self.ct = self.c_norm * Q[0]
+        self.ct[s <= len(self.V) * np.finfo(float).eps * np.max(s)] = 0.0
+
+
 class RidgeCore:
     """Ridge statistics of n observations, shared by every fit on them.
 
@@ -161,12 +219,13 @@ class RidgeCore:
     by ``from_dataset`` from a dataset's rows, and keeps their block of
     the nonzero eigenvalues, ``mu[:live]``; theta is 0 beyond it.
 
-    Every fit solves with G + n xi I through ``_solve``, which reads
-    U diag(1/(s + n xi)) U^T off a spectrum the core already holds and
-    otherwise makes one linear solve.  G is decomposed only for the ERM
-    multiplier: ``spectrum`` computes G = U diag(s) U^T on first use by
-    ``fit_constrained`` and keeps it.  A ridge fit on a fresh core
-    therefore makes no eigendecomposition.
+    A ridge fit on a fresh core is one linear solve, ``_solve``.  The ERM
+    multiplier needs z(xi) at many xi, so ``fit_constrained`` builds one
+    Lanczos basis of the Krylov space K_k(G, c) (``_KrylovBasis``) and
+    solves the ball-constrained quadratic on its small tridiagonal T_k;
+    every later fit on the core reads its solve off that basis, extending
+    it first if its own shift has not converged.  G itself is never
+    decomposed.
     """
 
     def __init__(self, kernel: EigenKernel, n: int, FtWF: np.ndarray, FtWy: np.ndarray):
@@ -178,7 +237,7 @@ class RidgeCore:
         # scaling by an outer product keeps G as symmetric as F^T W F
         self.G = FtWF[:kernel.live, :kernel.live] * np.outer(self.sqrt_mu, self.sqrt_mu)
         self.c = self.sqrt_mu * FtWy[:kernel.live]
-        self._spectrum = None
+        self._basis: Optional[_KrylovBasis] = None
 
     @classmethod
     def from_dataset(cls, data: Dataset, kernel: EigenKernel,
@@ -187,21 +246,8 @@ class RidgeCore:
         F, ys, _ = _weighted_rows(data, kernel, weights)
         return cls(kernel, len(data), F.T @ F, F.T @ ys)
 
-    @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s, U) with G = U diag(s) U^T and s clipped at 0, computed once by ``psd_eigh``."""
-        if self._spectrum is None:
-            self._spectrum = psd_eigh(self.G)
-        return self._spectrum
-
     def _solve(self, nlam: float, rhs: np.ndarray) -> np.ndarray:
-        """(G + nlam I)^(-1) rhs: off the spectrum when the core holds one, else one LU solve.
-
-        The LU solve runs on one BLAS thread, like the eigendecomposition.
-        """
-        if self._spectrum is not None:
-            s, U = self._spectrum
-            return U @ ((U.T @ rhs) / (s + nlam))
+        """(G + nlam I)^(-1) rhs by one LU solve on one BLAS thread."""
         A = self.G.copy()
         A.flat[::len(A) + 1] += nlam
         try:
@@ -209,6 +255,27 @@ class RidgeCore:
                 return np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as err:
             raise FactorizationError(f"factorization failed: {err}") from err
+
+    def _krylov_solve(self, level: Callable[[np.ndarray, np.ndarray], float]
+                      ) -> tuple[np.ndarray, float]:
+        """(z, lam) with z = V_k^T (T_k + n lam I)^(-1) ||c|| e_1 on the core's Krylov basis.
+
+        ``level(s, ct)`` reads lam off T_k = Q diag(s) Q^T and ct = ||c|| Q^T e_1.
+        The basis starts on first use and grows by ``_KRYLOV_STRIDE`` steps
+        until the residual beta_k |y_k| at lam is at most ``_KRYLOV_RTOL`` ||c||
+        or the basis is exact.  It runs on one BLAS thread.
+        """
+        with one_blas_thread():
+            if self._basis is None:
+                self._basis = _KrylovBasis(self.G, self.c)
+            basis = self._basis
+            while True:
+                s, Q = basis.ritz
+                lam = level(s, basis.ct)
+                y = Q @ (basis.ct / (s + self.n * lam))
+                if basis.exact or basis.beta[-1] * abs(y[-1]) <= _KRYLOV_RTOL * basis.c_norm:
+                    return basis.V[:len(y)].T @ y, lam
+                basis.extend(_KRYLOV_STRIDE)
 
     def _model(self, z: np.ndarray, lam: float, alpha: Optional[np.ndarray] = None) -> FittedModel:
         theta = np.zeros(self.kernel.rank)
@@ -223,7 +290,8 @@ class RidgeCore:
         nlam = self.n * lam
         # a lam small enough to overflow the solve fails the NaN-safe check instead
         with np.errstate(over="ignore", invalid="ignore"):
-            z = self._solve(nlam, self.c)
+            z = (self._solve(nlam, self.c) if self._basis is None
+                 else self._krylov_solve(lambda s, ct: lam)[0])
             _check_residual(self.G @ z + nlam * z - self.c, self.c)
         return self._model(z, lam)
 
@@ -231,21 +299,17 @@ class RidgeCore:
         """ERM over the Hilbert ball (see ``fit_constrained_erm``): the ridge fit at its multiplier."""
         if not radius > 0:  # also rejects NaN
             raise ValueError("radius must be positive")
+        if not np.all(np.isfinite(self.c)):
+            raise ProjectionError("constraint projection failed")
         n = self.n
-        s, U = self.spectrum
-        ct = U.T @ self.c
-        # c lies in the range of G, so its part on numerically zero eigenvalues is rounding
-        ct[s <= len(s) * np.finfo(float).eps * np.max(s)] = 0.0
-        trace_K = float(np.trace(self.G))  # sum_i w_i K(x_i, x_i)
-        _, xi = ball_quadratic_min(s / n, ct / n, radius)
-        xi_star = max(xi, 1e-10 * trace_K / n, 1e-300)
-        nlam = n * xi_star
-        z = ct / (s + nlam)
+        floor = max(1e-10 * float(np.trace(self.G)) / n, 1e-300)  # trace G = sum_i w_i K(x_i, x_i)
+        # fit_ridge(xi_star) on this core reads the same z off the basis, bit for bit
+        z, xi_star = self._krylov_solve(
+            lambda s, ct: max(ball_quadratic_min(s / n, ct / n, radius)[1], floor))
         if not np.linalg.norm(z) <= radius * (1.0 + PROJECTION_RTOL):
             raise ProjectionError("constraint projection failed")
-        z = U @ z  # on a full-rank core, fit_ridge(xi_star)'s z bit for bit
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_residual(self.G @ z + nlam * z - self.c, self.c)
+            _check_residual(self.G @ z + n * xi_star * z - self.c, self.c)
         return self._model(z, xi_star)
 
 
@@ -341,9 +405,10 @@ def fit_reweighted_krr(data: Dataset, kernel: EigenKernel, lam: float,
 def fit_constrained_erm(data: Dataset, kernel: EigenKernel, radius: float) -> FittedModel:
     """Empirical risk minimizer over the Hilbert ball of the given radius.
 
-    In the eigenbasis of the Gram matrix the problem is the ball-constrained
-    quadratic of ``ball_quadratic_min``, whose multiplier xi is the ridge
-    level of the solution.  A multiplier below the floor
+    On a Lanczos basis of the Krylov space K_k(G, c) the problem is the
+    ball-constrained quadratic of ``ball_quadratic_min`` in the eigenbasis
+    of the basis's tridiagonal, whose multiplier xi is the ridge level of
+    the solution (see ``RidgeCore``).  A multiplier below the floor
     xi_floor = 1e-10 trace(G) / n is raised to it, so the fit is the ridge
     fit at xi_floor, near the lam -> 0+ ridge limit.  When G is singular
     (fewer rows than the rank) the fit has no part in its null space, where

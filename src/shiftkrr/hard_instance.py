@@ -277,12 +277,13 @@ def simulate_failure(
     Each replicate of ``hard_pair_runs``, with f* = phi_1, fits (a) the
     empirical risk minimizer over the unit Hilbert ball and (b) KRR at
     lambda = 4^(2/3) n^(-2/3) B^(-1/3), both from its one ``RidgeCore``
-    (one Gram matrix and one eigendecomposition, which ERM needs and KRR
-    reuses), and records exact coordinate risks and the KRR Hilbert norm.
+    (one Gram matrix and one Krylov basis, which ERM builds and KRR reads,
+    extended if its lambda needs it), and records exact coordinate risks
+    and the KRR Hilbert norm.
     """
 
     def erm_and_krr(core: RidgeCore, lam: float) -> tuple[float, float, float, float]:
-        erm = core.fit_constrained(1.0)  # decomposes G; KRR reads its solve off the spectrum
+        erm = core.fit_constrained(1.0)  # builds the Krylov basis; KRR reads its solve off it
         krr = core.fit_ridge(lam)
         # theta* = e_1: exact mode pads the coordinates (1,) with zeros
         return (l2q_error(erm, (1.0,), exact_mode=True), l2q_error(krr, (1.0,), exact_mode=True),

@@ -93,12 +93,12 @@ class EigenSequence:
         if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
         if kind == "poly":
-            if alpha is None or not alpha > 0.5:  # also rejects NaN
+            self.alpha = None if alpha is None else real_number(alpha, "alpha")
+            self.c = None if c is None else real_number(c, "c")
+            if self.alpha is None or not self.alpha > 0.5:  # also rejects NaN
                 raise ValueError("poly decay requires alpha > 1/2 for a finite trace")
-            if c is None or not 0 < c < math.inf:
+            if self.c is None or not 0 < self.c < math.inf:
                 raise ValueError("poly decay requires a finite scale c > 0")
-            self.alpha = real_number(alpha, "alpha")
-            self.c = real_number(c, "c")
             self.values = None
             self.length = self.j_max
             # integral comparison: sum_{j>J} c j^(-2a) <= c J^(1-2a)/(2a-1)

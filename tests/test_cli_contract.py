@@ -212,6 +212,13 @@ REFUSED_WITH = [
     ("simulate-risk", {**SWEEP, "pair": {"family": "gaussian_scale"}, "shift_grid": None,
                        "kernel": {"eigs": POLY, "eigenfunctions": "hermite", "rank": 4}}, {},
      "pair family 'gaussian_scale' needs 'tau_sq'"),
+    # a number key given a string float cannot read, or null, is named
+    ("bound-curve", {"eigs": POLY, "grid": {"lo": "abc"}}, {}, "'grid.lo' must be a number"),
+    ("bound-curve", {"eigs": POLY, "B": "abc"}, {}, "'B' must be a number"),
+    ("bound-curve", {"eigs": POLY, "grid": {"points": None}}, {},
+     "'grid.points' must be a whole number"),
+    ("bound-curve", {"eigs": POLY, "n": None}, {}, "'n' must be a whole number"),
+    ("bound-curve", {"eigs": {"kind": "poly", "alpha": "x"}}, {}, "'alpha' must be a number"),
 ]
 
 # (subcommand, a config it runs, files, a misspelled key added to that config)

@@ -41,7 +41,7 @@ def test_readme_names_every_top_level_key_under_its_kind():
     def named(pattern):
         return set(re.findall(r"`(\w+)`", re.search(pattern, section, re.DOTALL).group(1)))
 
-    kinds = {cli._whole: named(r"Integer\s+keys \((.*?)\)"),
+    kinds = {cli.whole_number: named(r"Integer\s+keys \((.*?)\)"),
              cli._finite: named(r"Number\s+keys \((.*?)\)"),
              cli._boolean: named(r"The\s+boolean\s+keys, (.*?), take"),
              cli.number_list: named(r"The\s+lists\s+(.*?)\s+take")}

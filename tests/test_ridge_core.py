@@ -1,5 +1,5 @@
 """The shared ridge core against the dual path, the row-deletion identity,
-and the one-eigendecomposition-per-replication structure of the hard pair."""
+and the one-Krylov-basis-per-replication structure of the hard pair."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shiftkrr import estimators
 from shiftkrr.estimators import (
     RidgeCore,
     fit_constrained_erm,
@@ -124,17 +125,21 @@ def test_simulate_failure_matches_separate_fits():
             assert getattr(rec, field) == pytest.approx(value, rel=1e-9, abs=1e-12), field
 
 
-def test_simulate_failure_eigendecomposes_once_per_replication(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+def test_simulate_failure_builds_one_krylov_basis_per_replication(monkeypatch):
+    # ERM builds the basis; KRR reads its solve off it, with no new basis and no LU solve
+    bases, solves = [], []
+    start = estimators._KrylovBasis.__init__
+    solve = np.linalg.solve
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting_start(self, G, c):
+        bases.append(len(c))
+        start(self, G, c)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(estimators._KrylovBasis, "__init__", counting_start)
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
     simulate_failure(200, 4.0, D=16, reps=3, seed=1)
-    assert len(calls) == 3
+    assert bases == [16] * 3
+    assert solves == []
 
 
 @pytest.mark.parametrize("seed, lam", [(3392, 1e-5), (35, 1e-6), (356, 1e-6)])

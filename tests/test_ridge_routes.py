@@ -1,9 +1,9 @@
-"""The two routes of a ridge fit: one linear solve, or the core's spectrum.
+"""The two routes of a ridge fit: one linear solve, or the core's Krylov basis.
 
-A fresh ``RidgeCore`` solves (G + n lam I) z = c; a core that holds its
-spectrum reads z off it.  Both must pass the stationarity check, agree
-where the system is well conditioned, and the spectrum is computed only
-for the fits that need it."""
+A fresh ``RidgeCore`` solves (G + n lam I) z = c; a core that holds a
+Krylov basis, built by its ERM fit, reads z off it.  Both must pass the
+stationarity check, agree where the system is well conditioned, and only
+the fits that need it decompose anything."""
 
 import numpy as np
 import pytest
@@ -35,14 +35,14 @@ def ridge_systems(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(system=ridge_systems())
-def test_solve_and_spectrum_routes_pass_the_check_and_agree_property(system):
+def test_solve_and_krylov_routes_pass_the_check_and_agree_property(system):
     kernel, data, lam = system
     solved = RidgeCore.from_dataset(data, kernel, data.weights)
-    spectral = RidgeCore.from_dataset(data, kernel, data.weights)
-    spectral.spectrum  # a core that holds its spectrum reads z off it
+    krylov = RidgeCore.from_dataset(data, kernel, data.weights)
+    krylov.fit_constrained(1.0)  # a core that holds a Krylov basis reads z off it
     # each fit raises FactorizationError unless it passes the 1e-8 stationarity check
     a = solved.fit_ridge(lam).theta
-    b = spectral.fit_ridge(lam).theta
+    b = krylov.fit_ridge(lam).theta
     A = solved.G + solved.n * lam * np.eye(len(solved.G))
     if np.linalg.cond(A) < 1e6:
         assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
