@@ -476,6 +476,8 @@ def l2q_error(
         return float(np.sum((a - b) ** 2))
     if pair is None:
         raise ValueError("Monte Carlo mode needs a shift pair to sample from")
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
     x = pair.sample_target(n_mc, rng_for(seed, 3))
     diff = predict(model, x) - np.asarray(fstar(x), dtype=float)
     return float(np.mean(diff**2))

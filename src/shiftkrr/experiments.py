@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -109,8 +109,9 @@ class ExperimentConfig:
         shifts = (None,) if self.shift_grid is None else number_list(self.shift_grid, "shift_grid")
         if not (len(self.n_list) and len(shifts)):
             raise ValueError("n_list and shift_grid must be nonempty")
-        for name in ("reps", "n_mc"):
+        for name in ("reps", "n_mc", "seed"):
             setattr(self, name, whole_number(getattr(self, name), name))
+        for name in ("reps", "n_mc"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         if not all(float(v).is_integer() for v in self.n_list):
@@ -161,8 +162,8 @@ class RiskRow:
     status: str
 
 
-RISK_HEADER = ("rep", "n", "B_or_V2", "estimator", "lambda", "risk",
-               "hnorm_sq", "seed", "status")
+RISK_HEADER = tuple({"b_or_v2": "B_or_V2", "lam": "lambda"}.get(f.name, f.name)
+                    for f in fields(RiskRow))
 
 
 #: the keys each fstar kind reads

@@ -231,6 +231,15 @@ def test_l2q_error_mc_matches_exact():
     assert abs(mc - exact) <= 3 * se
 
 
+@pytest.mark.parametrize("n_mc", [0, -3])
+def test_l2q_error_refuses_fewer_than_one_monte_carlo_draw(n_mc):
+    kernel = EigenKernel(EigenSequence.finite_rank([1.0, 0.5]), "hypercube", rank=2)
+    model = fit_krr(Dataset(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([0.5, -0.5])),
+                    kernel, 0.1, mode="primal")
+    with pytest.raises(ValueError, match="n_mc must be >= 1"):
+        l2q_error(model, lambda x: x[:, 0], hypercube_hard_pair(2, 2.0), n_mc=n_mc)
+
+
 def test_linf_localization_diagnostic():
     # sup-norm of the error is controlled by sqrt(10 Psi(r)) whenever the
     # fitted error stays in the Hilbert ball of radius 3||f*||_H

@@ -191,6 +191,12 @@ def test_config_validation():
         ExperimentConfig.from_json({"pair": {}, "kernel": {}, "bogus": 1})
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, None, "x"])
+def test_config_refuses_a_seed_that_is_not_a_whole_number(seed):
+    with pytest.raises(ValueError, match="'seed' must be a whole number"):
+        make_config(seed=seed)
+
+
 def test_risk_row_reproducible_in_isolation():
     # any row can be recomputed from (master seed, grid indices, rep) alone
     from shiftkrr.seeding import derive_seed, rng_for

@@ -1,22 +1,34 @@
-"""The golden ERM record: erm-failure and three ERM sweeps, regenerated through
-``cli.main`` and compared with the CSVs in ``tests/golden`` number by number.
+"""The reference runs of ``tests/golden/record.py``: one table of seeded outputs.
 
-Re-record with ``PYTHONPATH=src python tests/golden/record.py``; the diff of
-the record then shows how far a change moves these outputs."""
+Every output must be byte-identical at ``OPENBLAS_NUM_THREADS`` unset, 1, 2
+and 4, and each dual sweep byte-identical to its primal twin.  The golden
+ERM outputs, erm-failure and three ERM sweeps, are also compared with the
+CSVs in ``tests/golden`` number by number.
+
+Re-record the golden CSVs with ``PYTHONPATH=src python tests/golden/record.py``;
+the diff of the record then shows how far a change moves these outputs.
+``record.py DIR`` writes every output to DIR, so running it at a parent
+commit and at a change and comparing the two with ``diff -r`` shows which
+outputs the change moves."""
 
 import csv
 import importlib.util
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from shiftkrr.cli import main
+import shiftkrr
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 _spec = importlib.util.spec_from_file_location("golden_record", os.path.join(GOLDEN, "record.py"))
 record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
+
+SRC = Path(shiftkrr.__file__).resolve().parent.parent
 
 #: the kernel rank of the recorded sweeps
 SWEEP_RANK = 64
@@ -42,11 +54,10 @@ def unbounded(name, row):
     return name == "sweep-erm-zero" and int(row["n"]) >= SWEEP_RANK
 
 
-@pytest.mark.parametrize("name", list(record.RUNS))
+@pytest.mark.parametrize("name", [name.removesuffix(".csv") for name in record.GOLDEN])
 def test_outputs_match_the_golden_record(name, tmp_path):
-    out = tmp_path / f"{name}.csv"
-    assert main([*record.RUNS[name], "--out", str(out)]) == 0
-    got, want = read_rows(out), read_rows(os.path.join(GOLDEN, f"{name}.csv"))
+    record.record(str(tmp_path), [f"{name}.csv"])
+    got, want = read_rows(tmp_path / f"{name}.csv"), read_rows(os.path.join(GOLDEN, f"{name}.csv"))
     assert len(got) == len(want) and list(got[0]) == list(want[0])
     for g, w in zip(got, want):
         for key, cell in w.items():
@@ -57,3 +68,22 @@ def test_outputs_match_the_golden_record(name, tmp_path):
                 assert isinstance(a, float) and math.isfinite(a), key
             else:
                 assert math.isclose(a, b, rel_tol=1e-12), (key, a, b)
+
+
+def test_every_reference_output_has_the_same_bytes_at_every_blas_thread_count(tmp_path):
+    outputs = []
+    for threads in (None, "1", "2", "4"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(SRC)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        subprocess.run([sys.executable, os.path.join(GOLDEN, "record.py"), str(out)],
+                       env=env, check=True, timeout=120)
+        assert sorted(os.listdir(out)) == sorted(record.RUNS)
+        outputs.append({name: (out / name).read_bytes() for name in record.RUNS})
+    for name in record.RUNS:
+        assert all(run[name] == outputs[0][name] for run in outputs[1:]), name
+    for dual, primal in record.SAME:
+        assert outputs[0][dual] == outputs[0][primal], (dual, primal)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from shiftkrr import estimators
 from shiftkrr.errors import FactorizationError
 from shiftkrr.estimators import (RidgeCore, fit_constrained_erm, fit_krr,
                                  fit_reweighted_krr)
@@ -69,9 +70,9 @@ def eigh_calls(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
@@ -97,11 +98,19 @@ def test_one_lambda_fits_make_no_eigendecomposition(eigh_calls):
     assert eigh_calls == []
 
 
-def test_fits_that_need_the_spectrum_decompose_once_per_core(eigh_calls):
-    kernel, data = hypercube_data()
+def test_fits_that_need_the_spectrum_decompose_once_per_core(eigh_calls, monkeypatch):
+    # ERM builds one Krylov basis per core and a later ridge fit extends it; at rank 32 the
+    # basis stops short of the rank, so only tridiagonals T_k with k < 32 are decomposed
+    bases = []
+    start = estimators._KrylovBasis.__init__
+    monkeypatch.setattr(estimators._KrylovBasis, "__init__",
+                        lambda self, G, c: bases.append(self) or start(self, G, c))
+    kernel, data = hypercube_data(n=200, D=32)
     fit_constrained_erm(data, kernel, 1.0)
-    assert len(eigh_calls) == 1
     core = RidgeCore.from_dataset(data, kernel)
     core.fit_constrained(1.0)
-    core.fit_ridge(0.1)
-    assert len(eigh_calls) == 2
+    steps = len(core._basis.alpha)
+    core.fit_ridge(0.01)  # below ERM's multiplier: its shift needs a longer basis
+    assert len(bases) == 2 and bases[1] is core._basis
+    assert steps < len(core._basis.alpha) < 32 and not core._basis.exact
+    assert eigh_calls and max(eigh_calls) < 32
