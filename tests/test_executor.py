@@ -1,8 +1,10 @@
 """The replicate executor: results in canonical order, independent of the
 worker count and of the BLAS thread setting, with BLAS counts restored.
 
-That CLI outputs do not depend on ``OPENBLAS_NUM_THREADS`` is checked over
-the reference runs in ``test_golden.py``."""
+The CLI byte checks below read outputs of the reference runs in
+``tests/golden/record.py``, made once at ``OPENBLAS_NUM_THREADS`` unset, 1,
+2 and 4 by the ``reference_outputs`` fixture; ``test_golden.py`` checks
+every output of that table the same way."""
 
 import json
 import os
@@ -68,6 +70,27 @@ def test_figure2_is_independent_of_threads(monkeypatch):
                                                      reps=3, seed=4, D=32))
             for t in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def same_bytes_at_every_thread_setting(reference_outputs, names):
+    runs = list(reference_outputs.values())
+    for name in names:
+        assert all(run[name] == runs[0][name] for run in runs[1:]), name
+
+
+def test_erm_failure_bytes_do_not_depend_on_openblas_threads(reference_outputs):
+    same_bytes_at_every_thread_setting(reference_outputs, ["erm-failure.csv"])
+
+
+def test_dual_fit_and_sweep_bytes_do_not_depend_on_openblas_threads(reference_outputs):
+    # a weighted dual fit on 2000 rows runs products large enough for threaded BLAS
+    same_bytes_at_every_thread_setting(reference_outputs, ["fit.json", "sweep-rw-dual-1500.csv"])
+
+
+def test_every_subcommand_writes_the_same_bytes_at_one_and_two_blas_threads(reference_outputs):
+    same_bytes_at_every_thread_setting(reference_outputs, [
+        "figure1.csv", "bound-curve.csv", "lambda-star.json", "lower-bound.json",
+        "critical-radius.json", "erm-failure.csv", "sweep-rw-primal-1500.csv", "fit-rows7.json"])
 
 
 def test_one_blas_thread_is_reentrant_and_restores_once(monkeypatch):

@@ -15,20 +15,13 @@ import csv
 import importlib.util
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-import shiftkrr
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 _spec = importlib.util.spec_from_file_location("golden_record", os.path.join(GOLDEN, "record.py"))
 record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
-
-SRC = Path(shiftkrr.__file__).resolve().parent.parent
 
 #: the kernel rank of the recorded sweeps
 SWEEP_RANK = 64
@@ -70,20 +63,11 @@ def test_outputs_match_the_golden_record(name, tmp_path):
                 assert math.isclose(a, b, rel_tol=1e-12), (key, a, b)
 
 
-def test_every_reference_output_has_the_same_bytes_at_every_blas_thread_count(tmp_path):
-    outputs = []
-    for threads in (None, "1", "2", "4"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(SRC)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / f"threads-{threads}"
-        out.mkdir()
-        subprocess.run([sys.executable, os.path.join(GOLDEN, "record.py"), str(out)],
-                       env=env, check=True, timeout=120)
-        assert sorted(os.listdir(out)) == sorted(record.RUNS)
-        outputs.append({name: (out / name).read_bytes() for name in record.RUNS})
+def test_every_reference_output_has_the_same_bytes_at_every_blas_thread_count(reference_outputs):
+    runs = list(reference_outputs.values())
+    for run in runs:
+        assert sorted(run) == sorted(record.RUNS)
     for name in record.RUNS:
-        assert all(run[name] == outputs[0][name] for run in outputs[1:]), name
+        assert all(run[name] == runs[0][name] for run in runs[1:]), name
     for dual, primal in record.SAME:
-        assert outputs[0][dual] == outputs[0][primal], (dual, primal)
+        assert runs[0][dual] == runs[0][primal], (dual, primal)
